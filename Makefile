@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke ci
+.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -118,4 +118,11 @@ plansmoke:
 	$(GO) test -run 'TestPlanner' -v ./internal/cluster/
 	$(GO) test -run 'TestDerivedRouteKeys|TestClusterWorkloadModuleIsUnderivable|TestPlannerBench' -v ./internal/bench/
 
-ci: build vet race bench-smoke fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke
+# perfbench-test runs the repository benchmark's own checks: a short
+# run of every workload with its answers verified (for q7, all four
+# rewrites byte-identical), and damaged expected answers must fail. The
+# benchmark is a module of its own, so `go test ./...` does not build it.
+perfbench-test:
+	$(GO) -C perfbench test .
+
+ci: build vet race bench-smoke fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke perfbench-test

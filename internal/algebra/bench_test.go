@@ -3,7 +3,7 @@ package algebra
 // Microbenchmarks contrasting the columnar vectorized operators with
 // the seed's row-store implementations (rowref.go) on the shapes the
 // loop-lifting compiler actually produces: an iter-keyed variable ⋈
-// mapping-table join, the (iter, pos) ρ renumbering of liftLoop, and a
+// mapping-table join, the (iter, pos) ρ renumbering of mapBack, and a
 // boolean σ. Run with `make bench-smoke` (compile check) or
 // `go test -bench BenchmarkAlgebra -benchtime 20x ./internal/algebra`.
 

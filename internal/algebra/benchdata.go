@@ -10,7 +10,7 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// BenchJoinInput builds the mapScopeInner shape: a mapping table
+// BenchJoinInput builds the innerScope shape: a mapping table
 // inner|outer of n rows and a variable table iter|pos|item aligned to
 // the outer loop of n/4 iterations — the join every for-clause performs
 // per live variable.

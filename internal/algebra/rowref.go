@@ -102,25 +102,6 @@ func RowSelect(t *RowTable, col string) *RowTable {
 	return out
 }
 
-// RowDistinct is the row-at-a-time δ.
-func RowDistinct(t *RowTable) *RowTable {
-	idx := make([]int, len(t.Cols))
-	for i := range idx {
-		idx[i] = i
-	}
-	seen := map[string]bool{}
-	out := NewRowTable(t.Cols...)
-	for _, r := range t.Rows {
-		k := rowKey(r, idx)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Rows = append(out.Rows, r)
-	}
-	return out
-}
-
 // RowUnion is the row-at-a-time disjoint ∪.
 func RowUnion(a, b *RowTable) *RowTable {
 	if len(a.Cols) != len(b.Cols) {

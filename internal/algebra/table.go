@@ -1,8 +1,10 @@
 // Package algebra implements the vanilla relational algebra that the
-// Pathfinder compiler targets — exactly the operator set of Table 1 of
-// the paper: selection σ, projection π (with renaming, no duplicate
-// removal), duplicate elimination δ, disjoint union ∪, equi-join ⋈,
-// row numbering ρ (DENSE_RANK), and literal tables.
+// Pathfinder compiler targets — the operators of Table 1 of the paper
+// it uses: selection σ, projection π (with renaming, no duplicate
+// removal), disjoint union ∪, equi-join ⋈, row numbering ρ
+// (DENSE_RANK), and literal tables. Duplicate elimination δ has no
+// operator here: path steps drop duplicate nodes in their staircase
+// pass and the value join emits each pair once.
 //
 // XQuery sequences are represented as tables with schema iter|pos|item
 // (§3.1): iter is the loop iteration, pos the position within the
@@ -56,6 +58,18 @@ func NewTable(cols ...string) *Table {
 // derived builds an operator output over pre-built column vectors.
 func derived(cols []string, vecs []*vec, n int) *Table {
 	return &Table{cols: cols, vecs: vecs, n: n, frozen: true}
+}
+
+// IntTable builds a table of dense integer columns over the given
+// equal-length slices, which it takes over without copying.
+func IntTable(cols []string, vals ...[]int64) *Table {
+	vecs := make([]*vec, len(vals))
+	n := 0
+	for i, v := range vals {
+		vecs[i] = &vec{ints: v}
+		n = len(v)
+	}
+	return derived(cols, vecs, n)
 }
 
 // Cols returns the column names (callers must not modify the slice).

@@ -47,22 +47,6 @@ func TestSelectAndSelectEq(t *testing.T) {
 	if got := Select(tb, "keep").Len(); got != 2 {
 		t.Errorf("select = %d rows", got)
 	}
-	if got := SelectEq(sampleTable(), "iter", i(1)).Len(); got != 2 {
-		t.Errorf("selectEq = %d rows", got)
-	}
-	// SelectEq on a generic (non-dense) column
-	if got := SelectEq(sampleTable(), "item", s("b")).Len(); got != 1 {
-		t.Errorf("selectEq item = %d rows", got)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	tb := Lit([]string{"a"},
-		[]xdm.Item{s("x")}, []xdm.Item{s("y")}, []xdm.Item{s("x")},
-	)
-	if got := Distinct(tb).Len(); got != 2 {
-		t.Errorf("distinct = %d rows", got)
-	}
 }
 
 func TestUnion(t *testing.T) {
@@ -147,15 +131,6 @@ func TestMap12(t *testing.T) {
 		[]xdm.Item{i(2), i(3)},
 		[]xdm.Item{i(4), i(5)},
 	)
-	m, err := Map2(tb, "sum", "a", "b", func(x, y xdm.Item) (xdm.Item, error) {
-		return xdm.Integer(int64(x.(xdm.Integer)) + int64(y.(xdm.Integer))), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Int(0, m.ColIdx("sum")) != 5 || m.Int(1, m.ColIdx("sum")) != 9 {
-		t.Errorf("map2 = %s", m)
-	}
 	m1, err := Map1(tb, "neg", "a", func(x xdm.Item) (xdm.Item, error) {
 		return xdm.Integer(-int64(x.(xdm.Integer))), nil
 	})
@@ -164,25 +139,6 @@ func TestMap12(t *testing.T) {
 	}
 	if m1.Int(0, m1.ColIdx("neg")) != -2 {
 		t.Errorf("map1 = %s", m1)
-	}
-}
-
-func TestGroupCountSum(t *testing.T) {
-	tb := Lit([]string{"g", "v"},
-		[]xdm.Item{s("a"), i(1)},
-		[]xdm.Item{s("b"), i(2)},
-		[]xdm.Item{s("a"), i(3)},
-	)
-	gc := GroupCount(tb, "g")
-	if gc.Len() != 2 || gc.Int(0, 1) != 2 {
-		t.Errorf("groupCount = %s", gc)
-	}
-	gs, err := GroupSum(tb, "g", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := xdm.NumericValue(gs.Item(0, 1)); v != 4 {
-		t.Errorf("groupSum = %s", gs)
 	}
 }
 
@@ -234,22 +190,6 @@ func TestFrozenAppendPanics(t *testing.T) {
 		}
 	}()
 	Project(sampleTable(), "iter").Append(i(9))
-}
-
-// Property: δ is idempotent and never increases cardinality.
-func TestQuickDistinctIdempotent(t *testing.T) {
-	f := func(vals []int8) bool {
-		tb := NewTable("v")
-		for _, v := range vals {
-			tb.Append(i(int64(v)))
-		}
-		d1 := Distinct(tb)
-		d2 := Distinct(d1)
-		return d1.Len() <= tb.Len() && d1.Len() == d2.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: join with an empty side is empty; union length adds.

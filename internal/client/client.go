@@ -166,7 +166,15 @@ func (c *Client) CallBulk(dest string, br *BulkRequest) ([]xdm.Sequence, error) 
 // so scatter-gather coordinators encode once and send the same bytes to
 // every shard and replica (encode-once, scatter-many).
 func (c *Client) EncodeBulk(br *BulkRequest) *soap.Encoder {
-	req := &soap.Request{
+	enc := soap.NewEncoder()
+	enc.EncodeRequest(c.SOAPRequest(br))
+	c.Encodes.Add(1)
+	return enc
+}
+
+// SOAPRequest is the envelope EncodeBulk renders for br.
+func (c *Client) SOAPRequest(br *BulkRequest) *soap.Request {
+	return &soap.Request{
 		Module:     br.ModuleURI,
 		Method:     br.Func,
 		Arity:      br.Arity,
@@ -178,10 +186,6 @@ func (c *Client) EncodeBulk(br *BulkRequest) *soap.Encoder {
 		ByFragment: br.ByFragment,
 		SeqNrs:     br.SeqNrs,
 	}
-	enc := soap.NewEncoder()
-	enc.EncodeRequest(req)
-	c.Encodes.Add(1)
-	return enc
 }
 
 // SendEncoded posts a pre-encoded request body to dest and decodes the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
 	"xrpc/internal/server"
+	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -67,6 +69,35 @@ func TestResultCacheHitProbesOnly(t *testing.T) {
 		if reqs, _, _ := net.PeerStats(fmt.Sprintf("xrpc://shard%d", s)); reqs != 1 {
 			t.Fatalf("shard %d served %d requests on the warm hit; want 1 (the version probe)", s, reqs)
 		}
+	}
+}
+
+// TestResultCacheHitsThroughProxyAcrossTraceIDs: the proxy forwards a
+// per-request trace ID to every shard, and the merged-result cache must
+// still hit when the same broadcast read arrives again under another
+// trace ID — with the answer byte-identical to an unsharded peer.
+func TestResultCacheHitsThroughProxyAcrossTraceIDs(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	dep := deployPersons(t, net, 40, 3, 1)
+	co := NewCoordinator(dep.Table, client.New(net)) // no routes: broadcast
+	co.ResultCache = NewResultCache(0)
+	proxy := &Proxy{Co: co}
+
+	read := getPersonRequest(xmark.PersonID(3), xmark.PersonID(17))
+	want := singlePersonsBaseline(t, 40, read, nil)
+	for _, trace := range []string{"t-first", "t-second"} {
+		body := soap.EncodeRequest(&soap.Request{
+			Module: read.ModuleURI, Method: read.Func, Arity: read.Arity,
+			Location: read.AtHint, Calls: read.Calls, TraceID: trace,
+		})
+		rec := httptest.NewRecorder()
+		proxy.ServeHTTP(rec, httptest.NewRequest("POST", client.XRPCPath, bytes.NewReader(body)))
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("trace %s: proxied answer differs from unsharded peer:\n%s\nvs\n%s", trace, got, want)
+		}
+	}
+	if st := co.ResultCache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v; want the second trace ID to hit", st)
 	}
 }
 

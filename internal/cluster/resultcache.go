@@ -186,9 +186,25 @@ func sameFences(a, b []shardFence) bool {
 	return true
 }
 
+// resultKey is the merged-result cache key of br: its encoded body
+// without the trace ID. The proxy mints a fresh trace ID per request and
+// shards still receive it in body, but it does not change the answer, so
+// keying on body as sent would make every proxied read a miss.
+func (co *Coordinator) resultKey(br *client.BulkRequest, body []byte) string {
+	if br.TraceID == "" {
+		return string(body)
+	}
+	req := co.Client.SOAPRequest(br)
+	req.TraceID = ""
+	enc := soap.NewEncoder()
+	defer enc.Release()
+	enc.EncodeRequest(req)
+	return string(enc.Bytes())
+}
+
 // scatterCached answers a read-only scatter through the merged-result
 // cache. The key is the request's destination-independent encoded body
-// (encode-once scatter-many makes this deterministic); freshness is the
+// minus its trace ID (resultKey); freshness is the
 // per-shard (version, generation) fence vector. Any probe failure falls
 // back to plain execution with caching off — stale is never served.
 func (co *Coordinator) scatterCached(br *client.BulkRequest) ([]xdm.Sequence, error) {
@@ -196,7 +212,7 @@ func (co *Coordinator) scatterCached(br *client.BulkRequest) ([]xdm.Sequence, er
 	enc := co.Client.EncodeBulk(br)
 	defer enc.Release()
 	body := enc.Bytes()
-	key := string(body)
+	key := co.resultKey(br, body)
 
 	if v, _, ok := rc.lru.GetAny(key); ok {
 		entry := v.(*resultEntry)
@@ -217,7 +233,7 @@ func (co *Coordinator) scatterCached(br *client.BulkRequest) ([]xdm.Sequence, er
 			// A commit landing between probe and refresh tags the
 			// fresher data with the older probed fence — the safe
 			// direction (one extra refresh later, never a stale serve).
-			merged, err := co.refreshStale(br, body, entry, probed)
+			merged, err := co.refreshStale(br, body, key, entry, probed)
 			if err != nil {
 				return nil, err
 			}
@@ -278,7 +294,7 @@ func (co *Coordinator) scatterCachedStream(br *client.BulkRequest, w io.Writer) 
 	enc := co.Client.EncodeBulk(br)
 	defer enc.Release()
 	body := enc.Bytes()
-	key := string(body)
+	key := co.resultKey(br, body)
 
 	if v, _, ok := rc.lru.GetAny(key); ok {
 		entry := v.(*resultEntry)
@@ -293,7 +309,7 @@ func (co *Coordinator) scatterCachedStream(br *client.BulkRequest, w io.Writer) 
 			rc.Hits.Add(1)
 			return encodeMergedTo(w, br, entry.merged)
 		case entry.perShard != nil:
-			merged, err := co.refreshStale(br, body, entry, probed)
+			merged, err := co.refreshStale(br, body, key, entry, probed)
 			if err != nil {
 				return err
 			}
@@ -322,7 +338,7 @@ func (co *Coordinator) scatterCachedStream(br *client.BulkRequest, w io.Writer) 
 // refreshStale re-queries exactly the shards whose probed fence differs
 // from the entry's, rebuilds the merge from retained + fresh per-shard
 // results, and re-stores the entry under the probed vector.
-func (co *Coordinator) refreshStale(br *client.BulkRequest, body []byte, entry *resultEntry, probed []shardFence) ([]xdm.Sequence, error) {
+func (co *Coordinator) refreshStale(br *client.BulkRequest, body []byte, key string, entry *resultEntry, probed []shardFence) ([]xdm.Sequence, error) {
 	n := co.Table.NumShards()
 	if len(entry.fences) != n || len(entry.perShard) != n {
 		// table resized since population: the entry's shard split no
@@ -362,7 +378,6 @@ func (co *Coordinator) refreshStale(br *client.BulkRequest, body []byte, entry *
 		perShard: fresh,
 		merged:   merged,
 	}
-	key := string(body)
 	co.ResultCache.lru.Put(key, next, estimateSize(key, merged), 0)
 	return next.clipped(), nil
 }

@@ -827,37 +827,20 @@ func (env *staticEnv) compileClauses(fl *xq.FLWOR, i int) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		names := []string{cl.Var}
-		if cl.PosVar != "" {
-			names = append(names, cl.PosVar)
+		if j := recognizeJoin(fl, i); j != nil {
+			return env.compileJoin(fl, j, inPlan)
 		}
-		rest, err := env.withVar(names...).compileClauses(fl, i+1)
+		rest, err := env.withVar(forVars(cl)...).compileClauses(fl, i+1)
 		if err != nil {
 			return nil, err
 		}
-		varName, posName := cl.Var, cl.PosVar
 		return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 			q1, err := inPlan(ec, sc)
 			if err != nil {
 				return nil, err
 			}
-			inner, mapTbl := liftLoop(q1)
-			sc2 := mapScopeInner(sc, inner, mapTbl)
-			// $v binding: one row (inner, 1, item)
-			binding := seqTable()
-			posBinding := seqTable()
-			q1n := algebra.RowNum(q1, "inner", []string{algebra.ColIter, algebra.ColPos}, "")
-			inners := q1n.IntsOf("inner")
-			xc := q1n.ColIdx(algebra.ColItem)
-			pc := q1n.ColIdx(algebra.ColPos)
-			for ri, in := range inners {
-				binding.AppendSeq(in, 1, q1n.Item(ri, xc))
-				posBinding.AppendSeq(in, 1, q1n.Item(ri, pc))
-			}
-			sc2 = sc2.bind(varName, binding)
-			if posName != "" {
-				sc2 = sc2.bind(posName, posBinding)
-			}
+			l := liftRows(q1, cl.PosVar != "")
+			sc2, mapTbl := innerScope(sc, l.outer, l.binds(cl))
 			q2, err := rest(ec, sc2)
 			if err != nil {
 				return nil, err
@@ -868,25 +851,70 @@ func (env *staticEnv) compileClauses(fl *xq.FLWOR, i int) (Plan, error) {
 	return nil, unsupported("FLWOR clause")
 }
 
-// liftLoop numbers the rows of an iter|pos|item table into a fresh inner
-// loop, returning the inner loop relation (column iter) and the mapping
-// table inner|outer.
-func liftLoop(q1 *algebra.Table) (loop, mapTbl *algebra.Table) {
-	numbered := algebra.RowNum(q1, "inner", []string{algebra.ColIter, algebra.ColPos}, "")
-	loop = algebra.Project(numbered, "iter:inner")
-	mapTbl = algebra.Project(numbered, "inner:inner", "outer:iter")
-	return loop, mapTbl
+// lifted is an in-expression result numbered into an inner loop: row
+// k-1 is inner iteration k, in (outer iteration, position) order.
+type lifted struct {
+	outer []int64
+	items []xdm.Item
+	pos   []xdm.Item // positions, for an `at` variable; nil when unused
 }
 
-// mapScopeInner maps every live variable table into the inner loop by
-// joining through the mapping table (the map_p application of §3.1).
-func mapScopeInner(sc *scope, innerLoop, mapTbl *algebra.Table) *scope {
-	out := newScope(innerLoop)
+func liftRows(q *algebra.Table, withPos bool) lifted {
+	sorted := algebra.SortBy(q, algebra.ColIter, algebra.ColPos)
+	n := sorted.Len()
+	l := lifted{outer: sorted.IntsOf(algebra.ColIter), items: make([]xdm.Item, n)}
+	xc, pc := sorted.ColIdx(algebra.ColItem), sorted.ColIdx(algebra.ColPos)
+	for r := range l.items {
+		l.items[r] = sorted.Item(r, xc)
+	}
+	if withPos {
+		l.pos = make([]xdm.Item, n)
+		for r := range l.pos {
+			l.pos[r] = sorted.Item(r, pc)
+		}
+	}
+	return l
+}
+
+// binds binds a for clause's variables to the lifted rows.
+func (l lifted) binds(f *xq.ForClause) []varBind {
+	return []varBind{{f.Var, l.items}, {f.PosVar, l.pos}}
+}
+
+// varBind binds a variable to one item per inner iteration; a binding
+// with an empty name is skipped.
+type varBind struct {
+	name  string
+	items []xdm.Item
+}
+
+// innerScope opens an inner loop 1..len(outer) whose iteration k
+// descends from outer iteration outer[k-1]: the live variables of sc
+// are mapped into it (the map_p application of §3.1) and binds add one
+// item per inner iteration. It returns the scope and the inner|outer
+// mapping table for mapBack.
+func innerScope(sc *scope, outer []int64, binds []varBind) (*scope, *algebra.Table) {
+	inner := make([]int64, len(outer))
+	for k := range inner {
+		inner[k] = int64(k + 1)
+	}
+	mapTbl := algebra.IntTable([]string{"inner", "outer"}, inner, outer)
+	out := newScope(algebra.IntTable([]string{algebra.ColIter}, inner))
 	for name, tbl := range sc.vars {
 		joined := algebra.Join(mapTbl, tbl, "outer", algebra.ColIter)
 		out.vars[name] = algebra.Project(joined, "iter:inner", algebra.ColPos, algebra.ColItem)
 	}
-	return out
+	for _, b := range binds {
+		if b.name == "" {
+			continue
+		}
+		t := seqTable()
+		for k, it := range b.items {
+			t.AppendSeq(int64(k+1), 1, it)
+		}
+		out.vars[b.name] = t
+	}
+	return out, mapTbl
 }
 
 // mapBack maps an inner-loop result back to the outer loop: inner iters

@@ -1,6 +1,7 @@
 package pathfinder
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -39,7 +40,7 @@ func (g *qgen) expr(depth int) string {
 	if depth <= 0 {
 		return g.atom()
 	}
-	switch g.pick(3, 2, 2, 2, 2, 1, 1, 1, 2) {
+	switch g.pick(3, 2, 2, 2, 2, 1, 1, 1, 2, 1) {
 	case 0:
 		return g.atom()
 	case 1: // arithmetic
@@ -57,9 +58,106 @@ func (g *qgen) expr(depth int) string {
 		return fmt.Sprintf("%s(%s)", []string{"count", "sum"}[g.r.Intn(2)], g.numseq(depth-1))
 	case 7: // path over the film db
 		return g.path()
-	default: // string function
+	case 8: // string function
 		return fmt.Sprintf("concat(%s, %s)", g.str(depth-1), g.str(depth-1))
+	default: // two for clauses joined by their where
+		return "(" + g.join() + ")"
 	}
+}
+
+// joinSource is an in-expression for a join: node and atomic sequences
+// whose keys are strings, untyped values, numbers, or a mix.
+type joinSource struct {
+	in   string
+	keys []string // key expressions over the bound variable, "%s" = $var
+}
+
+var joinSources = []joinSource{
+	{`doc("filmDB.xml")//film`, []string{"%s/actor", "%s/name", "%s/*", "%s/nothing", "string(%s/actor)"}},
+	{`doc("filmDB.xml")//actor`, []string{"%s", "string(%s)", "%s/text()"}},
+	{`("Sean Connery", "The Rock", "x", "Sean Connery")`, []string{"%s", "(%s, \"x\")", "%s/name"}},
+	{`(1 to 3)`, []string{"%s", "string(%s)"}},
+	{`(<k>2</k>, <k>3</k>, <k>Goldfinger</k>)`, []string{"%s", "%s/text()"}},
+	{`("2", 3, "Green Card")`, []string{"%s"}},
+	{`()`, []string{"%s"}},
+}
+
+// join produces `for $a in A, $b in B where ka = kb [and …] return R`:
+// independent and dependent inner clauses, multi-valued, empty,
+// numeric and untyped keys, keys that raise errors, comparisons other
+// than `=`, `at` variables, and the join nested inside an outer for.
+// Key types that general `=` cannot compare raise the same error in
+// both engines.
+func (g *qgen) join() string {
+	var sb strings.Builder
+	outer := ""
+	if g.r.Intn(4) == 0 {
+		outer = g.freshVar()
+		fmt.Fprintf(&sb, "for $%s in (\"Sean Connery\", \"x\") ", outer)
+		if g.r.Intn(2) == 0 {
+			sb.WriteString("return for ")
+		} else {
+			sb.WriteString(", ")
+		}
+	} else {
+		sb.WriteString("for ")
+	}
+	sa, sbSrc := joinSources[g.r.Intn(len(joinSources))], joinSources[g.r.Intn(len(joinSources))]
+	a := g.freshVar()
+	posA := ""
+	if g.r.Intn(3) == 0 {
+		posA = g.freshVar()
+		fmt.Fprintf(&sb, "$%s at $%s in %s, ", a, posA, sa.in)
+	} else {
+		fmt.Fprintf(&sb, "$%s in %s, ", a, sa.in)
+	}
+	b := g.freshVar()
+	inB := sbSrc.in
+	if g.r.Intn(5) == 0 { // dependent: must not become a hash join
+		inB = fmt.Sprintf("($%s, %s)", a, sbSrc.in)
+	}
+	fmt.Fprintf(&sb, "$%s in %s ", b, inB)
+	ka := fmt.Sprintf(sa.keys[g.r.Intn(len(sa.keys))], "$"+a)
+	kb := fmt.Sprintf(sbSrc.keys[g.r.Intn(len(sbSrc.keys))], "$"+b)
+	if g.r.Intn(2) == 0 {
+		ka, kb = kb, ka
+	}
+	op := "="
+	if g.r.Intn(8) == 0 { // near miss: not an equality
+		op = []string{"!=", "<"}[g.r.Intn(2)]
+	}
+	fmt.Fprintf(&sb, "where %s %s %s ", ka, op, kb)
+	switch g.r.Intn(4) {
+	case 0:
+		fmt.Fprintf(&sb, "and exists($%s) ", b)
+	case 1:
+		if posA != "" {
+			fmt.Fprintf(&sb, "and $%s > 1 ", posA)
+		} else if outer != "" {
+			fmt.Fprintf(&sb, "and string($%s) = $%s ", b, outer)
+		}
+	}
+	rets := []string{
+		fmt.Sprintf("($%s, $%s)", a, b),
+		fmt.Sprintf("<r>{$%s}{$%s}</r>", a, b),
+		fmt.Sprintf("concat(string($%s), \"|\", string($%s))", a, b),
+	}
+	if posA != "" {
+		rets = append(rets, fmt.Sprintf("($%s, $%s)", posA, b))
+	}
+	if outer != "" {
+		rets = append(rets, fmt.Sprintf("($%s, $%s)", outer, b))
+	}
+	fmt.Fprintf(&sb, "return %s", rets[g.r.Intn(len(rets))])
+	g.dropVar() // b
+	if posA != "" {
+		g.dropVar()
+	}
+	g.dropVar() // a
+	if outer != "" {
+		g.dropVar()
+	}
+	return sb.String()
 }
 
 // num produces a singleton numeric expression.
@@ -168,6 +266,11 @@ func (g *qgen) path() string {
 		`doc("filmDB.xml")/films/film[1]/name`,
 		`doc("filmDB.xml")//name[../actor="Sean Connery"]`,
 		`string((doc("filmDB.xml")//actor)[1])`,
+		`doc("filmDB.xml")//film/*[1]`,
+		`doc("filmDB.xml")//film/*[last()]`,
+		`doc("filmDB.xml")//actor/../name`,
+		`doc("filmDB.xml")//name/following-sibling::*`,
+		`doc("filmDB.xml")//film/*/parent::*[1]`,
 	}
 	return paths[g.r.Intn(len(paths))]
 }
@@ -226,4 +329,56 @@ func TestDifferentialEngines(t *testing.T) {
 	if skipped > n/4 {
 		t.Errorf("too many generated queries unsupported by pathfinder: %d/%d", skipped, n)
 	}
+}
+
+// TestDifferentialJoins runs the join shapes on both engines: results
+// must agree byte for byte and errors must carry the same code, whether
+// the pair is evaluated as a hash join or falls back to every pair.
+func TestDifferentialJoins(t *testing.T) {
+	f := newFixture(t)
+	refEngine := interp.New(f.st, f.reg, nil)
+	joined := 0
+	for seed := 0; seed < 1000; seed++ {
+		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
+		query := g.join()
+		ec := &ExecCtx{Docs: f.st}
+		pfc, pfErr := Compile(query, f.reg)
+		var pfSeq xdm.Sequence
+		if pfErr == nil {
+			pfSeq, pfErr = pfc.Eval(ec, nil)
+		}
+		joined += ec.hashJoins
+		ic, iErr := refEngine.Compile(query)
+		var iSeq xdm.Sequence
+		if iErr == nil {
+			iSeq, _, iErr = ic.Eval(nil)
+		}
+		switch {
+		case pfErr == nil && iErr == nil:
+			got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq)
+			if got != want {
+				t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s",
+					seed, query, got, want)
+			}
+		case pfErr != nil && iErr != nil:
+			if errCode(pfErr) != errCode(iErr) {
+				t.Fatalf("seed %d: error codes differ\nquery: %s\npathfinder err: %v\ninterp err:     %v",
+					seed, query, pfErr, iErr)
+			}
+		default:
+			t.Fatalf("seed %d: one engine errored\nquery: %s\npathfinder err: %v\ninterp err:     %v",
+				seed, query, pfErr, iErr)
+		}
+	}
+	if joined < 250 {
+		t.Errorf("only %d of 1000 generated joins ran as hash joins", joined)
+	}
+}
+
+func errCode(err error) string {
+	var xe *xdm.Error
+	if errors.As(err, &xe) {
+		return xe.Code
+	}
+	return err.Error()
 }

@@ -1,7 +1,10 @@
 package pathfinder
 
 import (
+	"sort"
+
 	"xrpc/internal/algebra"
+	"xrpc/internal/shred"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
 )
@@ -69,7 +72,7 @@ func (env *staticEnv) compilePath(p *xq.Path) (Plan, error) {
 			return nil, err
 		}
 		for _, pp := range rootPredPlans {
-			cur, err = applyPred(ec, sc, cur, pp, true)
+			cur, err = applyPred(ec, sc, cur, pp)
 			if err != nil {
 				return nil, err
 			}
@@ -98,21 +101,26 @@ func mapNodes(t *algebra.Table, f func(*xdm.Node) *xdm.Node) *algebra.Table {
 	return out
 }
 
-// execStep performs one axis step on every (iter, context node) row via
-// the shredded staircase encoding, applies the predicates, then
-// re-establishes per-iteration document order with duplicate
-// elimination.
+// execStep performs one axis step for the whole context at once. The
+// (iter, node) rows are resolved to (document, pre) pairs, and each
+// document answers all of its rows in one staircase pass. Without
+// predicates the rows group by iteration; with predicates every context
+// row is a group of its own, because position() counts per context
+// node. The kept candidates come back in per-iteration document order
+// without duplicates.
 func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []predPlan) (*algebra.Table, error) {
-	type candGroup struct {
-		outer int64
-		nodes []*xdm.Node
+	type ctxRow struct {
+		doc   int
+		group int64
+		pre   int
 	}
-	sorted := algebra.SortBy(ctx, algebra.ColIter, algebra.ColPos)
-	iters := sorted.IntsOf(algebra.ColIter)
-	xc := sorted.ColIdx(algebra.ColItem)
-	var groups []candGroup
-	for ri, it := range iters {
-		n, ok := sorted.Item(ri, xc).(*xdm.Node)
+	iters := ctx.IntsOf(algebra.ColIter)
+	xc := ctx.ColIdx(algebra.ColItem)
+	rows := make([]ctxRow, len(iters))
+	var docs []*shred.Doc
+	docIdx := map[*shred.Doc]int{}
+	for r, it := range iters {
+		n, ok := ctx.Item(r, xc).(*xdm.Node)
 		if !ok {
 			return nil, xdm.NewError("XPTY0004", "path step applied to a non-node")
 		}
@@ -121,68 +129,121 @@ func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []pr
 		if !ok {
 			return nil, xdm.NewError("XPTY0004", "node not found in shredded doc")
 		}
-		pres := d.Step([]int{pre}, st.Axis, st.Test)
-		nodes := make([]*xdm.Node, len(pres))
-		for i, q := range pres {
-			nodes[i] = d.Node(q)
+		di, seen := docIdx[d]
+		if !seen {
+			di = len(docs)
+			docIdx[d] = di
+			docs = append(docs, d)
 		}
-		groups = append(groups, candGroup{outer: it, nodes: nodes})
+		if len(preds) > 0 {
+			it = int64(r)
+		}
+		rows[r] = ctxRow{di, it, pre}
 	}
-	// predicates: loop-lifted over all candidates of all groups
-	for _, pp := range preds {
-		// inner loop: one iteration per candidate
-		inner := algebra.NewTable(algebra.ColIter)
-		mapTbl := algebra.NewTable("inner", "outer")
-		dot := seqTable()
-		posT := seqTable()
-		lastT := seqTable()
-		k := int64(0)
-		for _, g := range groups {
-			for i, n := range g.nodes {
-				k++
-				inner.Append(xdm.Integer(k))
-				mapTbl.Append(xdm.Integer(k), xdm.Integer(g.outer))
-				dot.AppendSeq(k, 1, n)
-				posT.AppendSeq(k, 1, xdm.Integer(i+1))
-				lastT.AppendSeq(k, 1, xdm.Integer(len(g.nodes)))
-			}
+	less := func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.doc != b.doc {
+			return a.doc < b.doc
 		}
-		sc2 := mapScopeInner(sc, inner, mapTbl)
-		sc2 = sc2.bind(".", dot).bind("@position", posT).bind("@last", lastT)
-		keep, err := evalPredKeep(ec, sc2, pp, posT)
-		if err != nil {
+		return a.group < b.group || a.group == b.group && a.pre < b.pre
+	}
+	if !sort.SliceIsSorted(rows, less) {
+		sort.Slice(rows, less)
+	}
+	groups, pres := make([]int64, len(rows)), make([]int, len(rows))
+	for i, r := range rows {
+		groups[i], pres[i] = r.group, r.pre
+	}
+	var cands []stepCand
+	for lo := 0; lo < len(rows); {
+		hi := lo + 1
+		for hi < len(rows) && rows[hi].doc == rows[lo].doc {
+			hi++
+		}
+		d := docs[rows[lo].doc]
+		gs, qs := d.Step(groups[lo:hi], pres[lo:hi], st.Axis, st.Test)
+		for i, q := range qs {
+			it := gs[i]
+			if len(preds) > 0 {
+				it = iters[it]
+			}
+			cands = append(cands, stepCand{group: gs[i], iter: it, node: d.Node(q)})
+		}
+		lo = hi
+	}
+	for _, pp := range preds {
+		var err error
+		if cands, err = filterCands(ec, sc, cands, pp); err != nil {
 			return nil, err
 		}
-		// filter the groups by the keep set
-		k = 0
-		for gi := range groups {
-			var kept []*xdm.Node
-			for _, n := range groups[gi].nodes {
-				k++
-				if keep[k] {
-					kept = append(kept, n)
-				}
-			}
-			groups[gi].nodes = kept
-		}
 	}
-	// doc order + dedup per iteration, then emit with fresh pos
+	// per-iteration document order and duplicate elimination: already
+	// in place for one document without predicates
+	if !candsOrdered(cands) {
+		sort.SliceStable(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
+	}
 	out := seqTable()
-	perIter := map[int64][]*xdm.Node{}
-	var iterOrder []int64
-	for _, g := range groups {
-		if _, seen := perIter[g.outer]; !seen {
-			iterOrder = append(iterOrder, g.outer)
+	var pos int64
+	for i, c := range cands {
+		switch {
+		case i > 0 && c.iter == cands[i-1].iter && c.node == cands[i-1].node:
+			continue
+		case i > 0 && c.iter == cands[i-1].iter:
+			pos++
+		default:
+			pos = 1
 		}
-		perIter[g.outer] = append(perIter[g.outer], g.nodes...)
-	}
-	for _, it := range iterOrder {
-		nodes := xdm.SortDocOrderDedup(perIter[it])
-		for p, n := range nodes {
-			out.AppendSeq(it, int64(p+1), n)
-		}
+		out.AppendSeq(c.iter, pos, c.node)
 	}
 	return out, nil
+}
+
+// stepCand is one step result: the node, the context group that
+// produced it, and that group's iteration.
+type stepCand struct {
+	group, iter int64
+	node        *xdm.Node
+}
+
+func candLess(a, b stepCand) bool {
+	if a.iter != b.iter {
+		return a.iter < b.iter
+	}
+	return xdm.DocOrderLess(a.node, b.node)
+}
+
+// candsOrdered reports whether cands are strictly ascending by (iter,
+// document order).
+func candsOrdered(cands []stepCand) bool {
+	for i := 1; i < len(cands); i++ {
+		if !candLess(cands[i-1], cands[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// filterCands applies one step predicate to the candidates, loop-lifted
+// over all of them at once; position() and last() count within each
+// context group.
+func filterCands(ec *ExecCtx, sc *scope, cands []stepCand, pp predPlan) ([]stepCand, error) {
+	groups := make([]int64, len(cands))
+	outer := make([]int64, len(cands))
+	items := make([]xdm.Item, len(cands))
+	for i, c := range cands {
+		groups[i], outer[i], items[i] = c.group, c.iter, c.node
+	}
+	keep, err := evalPredKeep(ec, sc, pp, groups, outer, items)
+	if err != nil {
+		return nil, err
+	}
+	kept := cands[:0]
+	for i, c := range cands {
+		if keep[i] {
+			kept = append(kept, c)
+		}
+	}
+	return kept, nil
 }
 
 // predPlan is a compiled predicate.
@@ -234,84 +295,84 @@ func rewritePosLast(e xq.Expr) xq.Expr {
 	}
 }
 
-// evalPredKeep evaluates a predicate plan over the candidate inner loop
-// and returns the kept inner iteration numbers. Numeric predicate values
-// select by position; everything else goes through the effective boolean
-// value.
-func evalPredKeep(ec *ExecCtx, sc2 *scope, pp predPlan, posT *algebra.Table) (map[int64]bool, error) {
-	keep := map[int64]bool{}
-	posOf := map[int64]int64{}
-	for ri := 0; ri < posT.Len(); ri++ {
-		posOf[posT.Int(ri, 0)] = posT.Int(ri, 2)
+// evalPredKeep evaluates a predicate over an inner loop of candidates:
+// candidate k is items[k] in outer iteration outer[k], and position()
+// and last() count within its run of equal groups[k]. It reports which
+// candidates to keep: a numeric predicate value selects by position,
+// anything else goes through the effective boolean value.
+func evalPredKeep(ec *ExecCtx, sc *scope, pp predPlan, groups, outer []int64, items []xdm.Item) ([]bool, error) {
+	pos, last := make([]int64, len(items)), make([]int64, len(items))
+	for lo := 0; lo < len(groups); {
+		hi := lo + 1
+		for hi < len(groups) && groups[hi] == groups[lo] {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			pos[i], last[i] = int64(i-lo+1), int64(hi-lo)
+		}
+		lo = hi
 	}
+	keep := make([]bool, len(items))
 	if pp.constPos != 0 {
-		for k, p := range posOf {
-			keep[k] = p == pp.constPos
+		for i, p := range pos {
+			keep[i] = p == pp.constPos
 		}
 		return keep, nil
 	}
+	sc2, _ := innerScope(sc, outer, []varBind{{".", items}, {"@position", intItems(pos)}, {"@last", intItems(last)}})
 	t, err := pp.plan(ec, sc2)
 	if err != nil {
 		return nil, err
 	}
-	groups := groupByIter(t)
-	for k := range posOf {
-		seq := groups[k]
+	vals := groupByIter(t)
+	for i := range keep {
+		seq := vals[int64(i+1)]
 		if len(seq) == 1 && xdm.IsNumeric(seq[0]) {
 			f, _ := xdm.NumericValue(seq[0])
-			keep[k] = float64(posOf[k]) == f
+			keep[i] = float64(pos[i]) == f
 			continue
 		}
 		b, err := xdm.EffectiveBoolean(seq)
 		if err != nil {
 			return nil, err
 		}
-		keep[k] = b
+		keep[i] = b
 	}
 	return keep, nil
 }
 
+func intItems(xs []int64) []xdm.Item {
+	out := make([]xdm.Item, len(xs))
+	for i, x := range xs {
+		out[i] = xdm.Integer(x)
+	}
+	return out
+}
+
 // applyPred filters an item table by a predicate (for root filter
 // expressions: positions count within each iteration's sequence).
-func applyPred(ec *ExecCtx, sc *scope, t *algebra.Table, pp predPlan, _ bool) (*algebra.Table, error) {
+func applyPred(ec *ExecCtx, sc *scope, t *algebra.Table, pp predPlan) (*algebra.Table, error) {
 	sorted := algebra.SortBy(t, algebra.ColIter, algebra.ColPos)
-	inner := algebra.NewTable(algebra.ColIter)
-	mapTbl := algebra.NewTable("inner", "outer")
-	dot := seqTable()
-	posT := seqTable()
-	lastT := seqTable()
 	iters := sorted.IntsOf(algebra.ColIter)
 	xc := sorted.ColIdx(algebra.ColItem)
-	// group sizes per iter
-	sizes := map[int64]int64{}
-	for _, it := range iters {
-		sizes[it]++
+	items := make([]xdm.Item, len(iters))
+	for r := range items {
+		items[r] = sorted.Item(r, xc)
 	}
-	counters := map[int64]int64{}
-	k := int64(0)
-	for ri, it := range iters {
-		counters[it]++
-		k++
-		inner.Append(xdm.Integer(k))
-		mapTbl.Append(xdm.Integer(k), xdm.Integer(it))
-		dot.AppendSeq(k, 1, sorted.Item(ri, xc))
-		posT.AppendSeq(k, 1, xdm.Integer(counters[it]))
-		lastT.AppendSeq(k, 1, xdm.Integer(sizes[it]))
-	}
-	sc2 := mapScopeInner(sc, inner, mapTbl)
-	sc2 = sc2.bind(".", dot).bind("@position", posT).bind("@last", lastT)
-	keep, err := evalPredKeep(ec, sc2, pp, posT)
+	keep, err := evalPredKeep(ec, sc, pp, iters, iters, items)
 	if err != nil {
 		return nil, err
 	}
 	out := seqTable()
-	newPos := map[int64]int64{}
-	for ri, it := range iters {
-		if !keep[int64(ri+1)] {
-			continue
+	var newPos int64
+	for r, it := range iters {
+		if r == 0 || it != iters[r-1] {
+			newPos = 0
 		}
-		newPos[it]++
-		out.AppendSeq(it, newPos[it], sorted.Item(ri, xc))
+		if keep[r] {
+			newPos++
+			out.AppendSeq(it, newPos, items[r])
+		}
 	}
 	return out, nil
 }

@@ -46,6 +46,9 @@ type ExecCtx struct {
 	Trace *Trace
 
 	shreds map[*xdm.Node]*shred.Doc
+	// hashJoins counts the value joins evaluated as hash joins rather
+	// than over every pair.
+	hashJoins int
 	// seqSite numbers execute-at evaluations within one query, giving
 	// each site a disjoint block of update sequence numbers (the
 	// deterministic-update-order extension).

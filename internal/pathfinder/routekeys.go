@@ -327,19 +327,6 @@ func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
 		return
 	}
 	switch x := e.(type) {
-	case *xq.Path:
-		if sig, ok := d.pathSig(x, shadow); ok {
-			d.sigs = append(d.sigs, sig)
-		}
-		d.collect(x.Root, shadow)
-		for _, p := range x.RootPreds {
-			d.collect(p, shadow)
-		}
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				d.collect(p, shadow)
-			}
-		}
 	case *xq.FLWOR:
 		sh := copyShadow(shadow)
 		for _, cl := range x.Clauses {
@@ -381,76 +368,15 @@ func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
 			sh[x.DefaultVar] = true
 		}
 		d.collect(x.Default, sh)
-	case *xq.SeqExpr:
-		for _, it := range x.Items {
-			d.collect(it, shadow)
-		}
-	case *xq.RangeExpr:
-		d.collect(x.Lo, shadow)
-		d.collect(x.Hi, shadow)
-	case *xq.Arith:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
-	case *xq.Unary:
-		d.collect(x.X, shadow)
-	case *xq.Comparison:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
-	case *xq.Logic:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
-	case *xq.UnionExpr:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
-	case *xq.If:
-		d.collect(x.Cond, shadow)
-		d.collect(x.Then, shadow)
-		d.collect(x.Else, shadow)
-	case *xq.FuncCall:
-		for _, a := range x.Args {
-			d.collect(a, shadow)
-		}
-	case *xq.ExecuteAt:
-		d.collect(x.Dest, shadow)
-		if x.Call != nil {
-			d.collect(x.Call, shadow)
-		}
-	case *xq.DirElem:
-		for _, a := range x.Attrs {
-			for _, v := range a.Value {
-				d.collect(v, shadow)
+	default:
+		if p, ok := e.(*xq.Path); ok {
+			if sig, ok := d.pathSig(p, shadow); ok {
+				d.sigs = append(d.sigs, sig)
 			}
 		}
-		for _, c := range x.Content {
+		for _, c := range subExprs(e) {
 			d.collect(c, shadow)
 		}
-	case *xq.Enclosed:
-		d.collect(x.X, shadow)
-	case *xq.CompElem:
-		d.collect(x.Name, shadow)
-		d.collect(x.Content, shadow)
-	case *xq.CompAttr:
-		d.collect(x.Name, shadow)
-		d.collect(x.Value, shadow)
-	case *xq.CompText:
-		d.collect(x.Val, shadow)
-	case *xq.Cast:
-		d.collect(x.X, shadow)
-	case *xq.Castable:
-		d.collect(x.X, shadow)
-	case *xq.InstanceOf:
-		d.collect(x.X, shadow)
-	case *xq.Insert:
-		d.collect(x.Source, shadow)
-		d.collect(x.Target, shadow)
-	case *xq.Delete:
-		d.collect(x.Target, shadow)
-	case *xq.Replace:
-		d.collect(x.Target, shadow)
-		d.collect(x.Source, shadow)
-	case *xq.Rename:
-		d.collect(x.Target, shadow)
-		d.collect(x.NewName, shadow)
 	}
 }
 

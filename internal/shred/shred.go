@@ -5,11 +5,18 @@
 // "staircase" evaluation that makes the relational XQuery engine bulk:
 //
 //	descendants(p)  = { q | p < q ≤ p+size[p] }
-//	children(p)     = descendants with level[q] = level[p]+1
-//	parent(p)       = max { q | q < p, q+size[q] ≥ p }
+//	children(p)     = descendants one level down, hopped over by size
+//	attributes(p)   = the attribute rows directly after p
 //
-// The shredded form keeps a pointer back to each *xdm.Node so results
-// can be materialized.
+// Step evaluates an axis for a whole loop-lifted context at once: one
+// pass over the (group, pre) pairs of every iteration, where the
+// descendant axes skip context nodes inside an earlier context node's
+// region (Grust et al., "Staircase Join", VLDB 2003).
+//
+// The encoding keeps no pointer map. xdm.Node.Seal numbers a tree in the
+// same preorder, attributes directly after their owner, so a node's pre
+// rank is its ordinal minus the root's; the Nodes array maps back to
+// materialize results.
 package shred
 
 import (
@@ -20,26 +27,37 @@ import (
 
 // Doc is a shredded document (or fragment).
 type Doc struct {
-	// parallel arrays indexed by pre rank
+	// parallel arrays indexed by pre rank; attributes are rows of their
+	// own (Size 0, Level owner level+1) directly after their owner
 	Kind  []xdm.NodeKind
-	Name  []string
-	Value []string
 	Size  []int
 	Level []int
 	Nodes []*xdm.Node
 
-	// Attrs maps owner pre -> attribute pre list; attributes live in the
-	// same arrays (their Size is 0 and Level is owner level+1).
-	Attrs map[int][]int
-
-	preOf map[*xdm.Node]int
+	base int // ordinal of the root
 }
 
-// Shred encodes the tree rooted at root.
+// Shred encodes the sealed tree rooted at root.
 func Shred(root *xdm.Node) *Doc {
-	d := &Doc{Attrs: map[int][]int{}, preOf: map[*xdm.Node]int{}}
+	n := count(root)
+	d := &Doc{
+		Kind:  make([]xdm.NodeKind, 0, n),
+		Size:  make([]int, 0, n),
+		Level: make([]int, 0, n),
+		Nodes: make([]*xdm.Node, 0, n),
+		base:  root.Ord(),
+	}
 	d.walk(root, 0)
 	return d
+}
+
+// count returns the number of nodes in the tree, attributes included.
+func count(n *xdm.Node) int {
+	c := 1 + len(n.Attrs)
+	for _, ch := range n.Children {
+		c += count(ch)
+	}
+	return c
 }
 
 // walk assigns pre ranks in document order; returns the subtree size
@@ -47,25 +65,16 @@ func Shred(root *xdm.Node) *Doc {
 func (d *Doc) walk(n *xdm.Node, level int) int {
 	pre := len(d.Kind)
 	d.Kind = append(d.Kind, n.Kind)
-	d.Name = append(d.Name, n.Name)
-	d.Value = append(d.Value, n.Value)
 	d.Size = append(d.Size, 0) // patched below
 	d.Level = append(d.Level, level)
 	d.Nodes = append(d.Nodes, n)
-	d.preOf[n] = pre
-	size := 0
 	for _, a := range n.Attrs {
-		apre := len(d.Kind)
 		d.Kind = append(d.Kind, xdm.AttributeNode)
-		d.Name = append(d.Name, a.Name)
-		d.Value = append(d.Value, a.Value)
 		d.Size = append(d.Size, 0)
 		d.Level = append(d.Level, level+1)
 		d.Nodes = append(d.Nodes, a)
-		d.preOf[a] = apre
-		d.Attrs[pre] = append(d.Attrs[pre], apre)
-		size++
 	}
+	size := len(n.Attrs)
 	for _, c := range n.Children {
 		size += 1 + d.walk(c, level+1)
 	}
@@ -76,10 +85,15 @@ func (d *Doc) walk(n *xdm.Node, level int) int {
 // Len returns the number of encoded nodes.
 func (d *Doc) Len() int { return len(d.Kind) }
 
-// Pre returns the pre rank of a node (must belong to this doc).
+// Pre returns the pre rank of a node of this doc: its ordinal relative
+// to the root's. A node from another tree, or from a tree changed since
+// it was sealed, is reported as absent.
 func (d *Doc) Pre(n *xdm.Node) (int, bool) {
-	p, ok := d.preOf[n]
-	return p, ok
+	p := n.Ord() - d.base
+	if p < 0 || p >= len(d.Nodes) || d.Nodes[p] != n {
+		return 0, false
+	}
+	return p, true
 }
 
 // Node materializes the node at a pre rank.
@@ -88,132 +102,141 @@ func (d *Doc) Node(pre int) *xdm.Node { return d.Nodes[pre] }
 // isAttr reports whether pre is an attribute row.
 func (d *Doc) isAttr(pre int) bool { return d.Kind[pre] == xdm.AttributeNode }
 
-// Descendants returns all descendant pre ranks of p matching the test
-// (excluding attributes), in document order — one staircase range scan.
-func (d *Doc) Descendants(p int, test xdm.NodeTest) []int {
-	var out []int
-	end := p + d.Size[p]
-	for q := p + 1; q <= end; q++ {
-		if d.isAttr(q) {
-			continue
-		}
-		if d.matches(q, test, xdm.AxisDescendant) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// Children returns child pre ranks of p matching the test: the
-// descendants one level down, skipped over by size.
-func (d *Doc) Children(p int, test xdm.NodeTest) []int {
-	var out []int
-	end := p + d.Size[p]
-	q := p + 1
-	// skip attribute rows of p itself
-	for q <= end && d.isAttr(q) && d.Level[q] == d.Level[p]+1 {
-		q++
-	}
-	for q <= end {
-		if d.matches(q, test, xdm.AxisChild) {
-			out = append(out, q)
-		}
-		q += d.Size[q] + 1 // hop over the whole subtree
-	}
-	return out
-}
-
-// Attributes returns attribute pre ranks of p matching the test.
-func (d *Doc) Attributes(p int, test xdm.NodeTest) []int {
-	var out []int
-	for _, a := range d.Attrs[p] {
-		if test.Matches(d.Nodes[a], xdm.AxisAttribute) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Parent returns the parent pre rank of p (-1 at the root): the nearest
-// preceding node whose region covers p.
+// Parent returns the parent pre rank of p (-1 at the root).
 func (d *Doc) Parent(p int) int {
-	if d.isAttr(p) {
-		// scan back to the owner element
-		for q := p - 1; q >= 0; q-- {
-			if !d.isAttr(q) {
-				return q
-			}
-		}
-		return -1
-	}
-	for q := p - 1; q >= 0; q-- {
-		if !d.isAttr(q) && q+d.Size[q] >= p {
+	if par := d.Nodes[p].Parent; par != nil {
+		if q, ok := d.Pre(par); ok {
 			return q
 		}
 	}
 	return -1
 }
 
-// Step evaluates one axis step from each context pre rank, returning
-// matching pre ranks in document order with duplicates removed.
-func (d *Doc) Step(ctx []int, axis xdm.Axis, test xdm.NodeTest) []int {
+// Step evaluates one axis step for many context groups in one pass.
+// groups and ctx are parallel: (group, context pre) pairs sorted by
+// group, then pre. The result pairs are sorted the same way: for each
+// group, the document-ordered, duplicate-free union of the step from
+// each of the group's context nodes.
+func (d *Doc) Step(groups []int64, ctx []int, axis xdm.Axis, test xdm.NodeTest) ([]int64, []int) {
+	var outGroups []int64
 	var out []int
-	// a single context node cannot produce duplicates on these axes, so
-	// skip the dedup map on the (very common) singleton fast path
-	var seen map[int]bool
-	if len(ctx) > 1 {
-		seen = make(map[int]bool, 8)
-	}
-	add := func(q int) {
-		if seen != nil {
-			if seen[q] {
-				return
-			}
-			seen[q] = true
+	for lo := 0; lo < len(ctx); {
+		hi := lo + 1
+		for hi < len(ctx) && groups[hi] == groups[lo] {
+			hi++
 		}
-		out = append(out, q)
+		start := len(out)
+		out = d.stepGroup(ctx[lo:hi], axis, test, out)
+		// nested context nodes (child, parent) or the tree-walker axes
+		// can emit out of order: restore document order and dedup
+		if seg := out[start:]; !increasing(seg) {
+			sort.Ints(seg)
+			out = out[:start+dedupSorted(seg)]
+		}
+		for range out[start:] {
+			outGroups = append(outGroups, groups[lo])
+		}
+		lo = hi
 	}
-	for _, p := range ctx {
-		switch axis {
-		case xdm.AxisChild:
-			for _, q := range d.Children(p, test) {
-				add(q)
+	return outGroups, out
+}
+
+// stepGroup appends the step results of one group's ascending context
+// pre ranks to out.
+func (d *Doc) stepGroup(ctx []int, axis xdm.Axis, test xdm.NodeTest, out []int) []int {
+	switch axis {
+	case xdm.AxisChild:
+		for _, p := range ctx {
+			end := p + d.Size[p]
+			q := p + 1
+			for q <= end && d.isAttr(q) {
+				q++
 			}
-		case xdm.AxisDescendant:
-			for _, q := range d.Descendants(p, test) {
-				add(q)
+			for ; q <= end; q += d.Size[q] + 1 { // hop over each child's subtree
+				if d.matches(q, test, axis) {
+					out = append(out, q)
+				}
 			}
-		case xdm.AxisDescendantOrSelf:
+		}
+	case xdm.AxisDescendant, xdm.AxisDescendantOrSelf:
+		end := -1
+		for _, p := range ctx {
+			self := axis == xdm.AxisDescendantOrSelf && d.matches(p, test, axis)
+			if d.isAttr(p) || p <= end {
+				// an attribute has no descendants, and a node inside the
+				// previous context node's region was scanned with it:
+				// the staircase prunes it (an attribute self is not)
+				if self && d.isAttr(p) {
+					out = append(out, p)
+				}
+				continue
+			}
+			if self {
+				out = append(out, p)
+			}
+			end = p + d.Size[p]
+			for q := p + 1; q <= end; q++ {
+				if !d.isAttr(q) && d.matches(q, test, axis) {
+					out = append(out, q)
+				}
+			}
+		}
+	case xdm.AxisAttribute:
+		for _, p := range ctx {
+			if d.isAttr(p) {
+				continue
+			}
+			for q := p + 1; q < len(d.Kind) && d.isAttr(q); q++ {
+				if d.matches(q, test, axis) {
+					out = append(out, q)
+				}
+			}
+		}
+	case xdm.AxisSelf:
+		for _, p := range ctx {
 			if d.matches(p, test, axis) {
-				add(p)
+				out = append(out, p)
 			}
-			for _, q := range d.Descendants(p, test) {
-				add(q)
-			}
-		case xdm.AxisAttribute:
-			for _, q := range d.Attributes(p, test) {
-				add(q)
-			}
-		case xdm.AxisSelf:
-			if d.matches(p, test, axis) {
-				add(p)
-			}
-		case xdm.AxisParent:
+		}
+	case xdm.AxisParent:
+		for _, p := range ctx {
 			if q := d.Parent(p); q >= 0 && d.matches(q, test, axis) {
-				add(q)
+				out = append(out, q)
 			}
-		default:
-			// remaining axes fall back to the tree walker
+		}
+	default:
+		// the remaining axes fall back to the tree walker
+		for _, p := range ctx {
 			for _, n := range xdm.Step(d.Nodes[p], axis, test) {
-				if q, ok := d.preOf[n]; ok {
-					add(q)
+				if q, ok := d.Pre(n); ok {
+					out = append(out, q)
 				}
 			}
 		}
 	}
-	// pre ranks are document order; out was appended per-context so sort
-	sortInts(out)
 	return out
+}
+
+func increasing(xs []int) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] >= xs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dedupSorted removes adjacent duplicates in place and returns the new
+// length.
+func dedupSorted(xs []int) int {
+	n := 0
+	for i, x := range xs {
+		if i == 0 || x != xs[n-1] {
+			xs[n] = x
+			n++
+		}
+	}
+	return n
 }
 
 func (d *Doc) matches(q int, test xdm.NodeTest, axis xdm.Axis) bool {
@@ -229,13 +252,11 @@ func (d *Doc) StringValue(pre int) string {
 		end := pre + d.Size[pre]
 		for q := pre + 1; q <= end; q++ {
 			if d.Kind[q] == xdm.TextNode {
-				out = append(out, d.Value[q]...)
+				out = append(out, d.Nodes[q].Value...)
 			}
 		}
 		return string(out)
 	default:
-		return d.Value[pre]
+		return d.Nodes[pre].Value
 	}
 }
-
-func sortInts(xs []int) { sort.Ints(xs) }

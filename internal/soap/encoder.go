@@ -22,10 +22,11 @@ const envelopeHeader = `<?xml version="1.0" encoding="utf-8"?>` + "\n" +
 
 const envelopeFooter = "</env:Body>\n</env:Envelope>\n"
 
-// maxPooledBuf bounds the buffers the pool retains: an occasional huge
-// message (a multi-MB document parameter) should not pin its buffer
-// forever.
-const maxPooledBuf = 1 << 20
+// maxPooledBuf bounds the buffers the pool retains: an occasional large
+// message (a document parameter, a whole-document response) should not
+// pin its buffer, and the small messages that reuse a pooled encoder
+// would keep it pinned for as long as traffic flows.
+const maxPooledBuf = 512 << 10
 
 // Encoder renders SOAP XRPC envelopes into a reusable byte buffer. It is
 // the streaming, single-copy wire path: node parameters are serialized
