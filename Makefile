@@ -32,7 +32,8 @@ bench:
 # writable-cluster benchmarks (BenchmarkClusterRoutedUpdate_*,
 # BenchmarkClusterPrunedProbe_*), the SOAP wire-path benchmarks incl.
 # the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
-# BenchmarkSoapResponseStreamWalk), and the paper-table benchmarks.
+# BenchmarkSoapResponseStreamWalk), the document parser
+# (BenchmarkParseDocument), and the paper-table benchmarks.
 # Full sweep with peak-heap columns: xrpcbench -table cluster
 # -cluster-json BENCH_cluster.json.
 bench-smoke:
@@ -50,12 +51,15 @@ bench-cluster:
 # are anchored because `go test -fuzz` requires exactly one match.
 # FuzzWALDecode shakes the write-ahead-log frame parser the same way
 # (truncated, corrupted and torn inputs must never panic).
+# FuzzParseDocument holds the document parser to encoding/xml: same
+# accept/reject outcome and identical trees on every input.
 # Run `go test -fuzz 'FuzzDecodeStream$$' ./internal/soap` for longer
 # sessions.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzDecodeStream$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
+	$(GO) test -run=NONE -fuzz 'FuzzParseDocument$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
 
 # memsmoke is the bounded-memory acceptance check of the streamed
 # scatter-gather: under a 64 MiB GOMEMLIMIT the coordinator must merge

@@ -12,13 +12,14 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// The wire experiment measures the SOAP message path in isolation:
-// encode+decode round-trips across message shapes, streaming path
-// (pooled Encoder + envelope pull-decoder) vs the seed's reference path
-// (strings.Builder encoder + DOM decoder). Outputs are verified
-// identical before any timing: the two encoders must produce the same
-// bytes, and the two decoders must agree (their decodes re-encode to
-// identical messages).
+// The wire experiment measures the SOAP message path in isolation
+// across message shapes: the streaming encoder (pooled Encoder) against
+// the seed's reference encoder (strings.Builder), and the envelope
+// pull-decoder. Outputs are verified before any timing: the two
+// encoders must produce the same bytes, and a decoded message must
+// re-encode to exactly the bytes it was decoded from. (The DOM
+// reference decoder lives in the soap tests, where
+// BenchmarkSoapDecode*DOM times it.)
 
 // WireRow is one message class of the wire experiment.
 type WireRow struct {
@@ -33,14 +34,10 @@ type WireRow struct {
 	EncodeStream time.Duration
 	EncodeRef    time.Duration
 	DecodeStream time.Duration
-	DecodeRef    time.Duration
 }
 
 // EncodeSpeedup is reference time over streaming time.
 func (r *WireRow) EncodeSpeedup() float64 { return speedup(r.EncodeRef, r.EncodeStream) }
-
-// DecodeSpeedup is reference time over streaming time.
-func (r *WireRow) DecodeSpeedup() float64 { return speedup(r.DecodeRef, r.DecodeStream) }
 
 func speedup(ref, new time.Duration) float64 {
 	if new <= 0 {
@@ -149,8 +146,8 @@ func runWireRow(m wireMessage, reps int, gzipSizes bool) (*WireRow, error) {
 		return soap.EncodeResponseRef(m.resp)
 	}
 
-	// verification before timing: encoders byte-identical, decoders in
-	// agreement (re-encoded decodes identical)
+	// verification before timing: encoders byte-identical, and the
+	// decode re-encodes to the original message
 	var msg []byte
 	if m.req != nil {
 		msg = soap.EncodeRequest(m.req)
@@ -164,12 +161,8 @@ func runWireRow(m wireMessage, reps int, gzipSizes bool) (*WireRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pull decode: %w", err)
 	}
-	dom, err := soap.DecodeDOM(msg)
-	if err != nil {
-		return nil, fmt.Errorf("DOM decode: %w", err)
-	}
-	if !bytes.Equal(reencodeMessage(pull), reencodeMessage(dom)) {
-		return nil, fmt.Errorf("pull and DOM decoders disagree")
+	if !bytes.Equal(reencodeMessage(pull), msg) {
+		return nil, fmt.Errorf("decoded message does not re-encode to the original bytes")
 	}
 
 	row := &WireRow{Name: m.name, Bytes: len(msg)}
@@ -183,7 +176,6 @@ func runWireRow(m wireMessage, reps int, gzipSizes bool) (*WireRow, error) {
 	row.EncodeStream = bestOf(reps, func() { encodeStream() })
 	row.EncodeRef = bestOf(reps, func() { encodeRef() })
 	row.DecodeStream = bestOf(reps, func() { soap.Decode(msg) })
-	row.DecodeRef = bestOf(reps, func() { soap.DecodeDOM(msg) })
 	return row, nil
 }
 
@@ -226,22 +218,22 @@ func bestOf(reps int, f func()) time.Duration {
 // FormatWireBench renders the wire experiment rows.
 func FormatWireBench(rows []WireRow) string {
 	var b strings.Builder
-	b.WriteString("SOAP wire path, streaming (pooled encoder + pull-decoder) vs reference (builder + DOM), best of runs\n")
+	b.WriteString("SOAP wire path, streaming (pooled encoder + pull-decoder) vs reference (builder) encoder, best of runs\n")
 	gz := len(rows) > 0 && rows[0].GzipBytes > 0
 	fmt.Fprintf(&b, "%-22s %9s", "", "bytes")
 	if gz {
 		fmt.Fprintf(&b, " %9s", "gzip")
 	}
-	fmt.Fprintf(&b, " %11s %11s %8s %11s %11s %8s\n",
-		"enc-stream", "enc-ref", "speedup", "dec-stream", "dec-ref", "speedup")
+	fmt.Fprintf(&b, " %11s %11s %8s %11s\n",
+		"enc-stream", "enc-ref", "speedup", "dec-stream")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-22s %9d", r.Name, r.Bytes)
 		if gz {
 			fmt.Fprintf(&b, " %9d", r.GzipBytes)
 		}
-		fmt.Fprintf(&b, " %8.0f µs %8.0f µs %7.2fx %8.0f µs %8.0f µs %7.2fx\n",
+		fmt.Fprintf(&b, " %8.0f µs %8.0f µs %7.2fx %8.0f µs\n",
 			us(r.EncodeStream), us(r.EncodeRef), r.EncodeSpeedup(),
-			us(r.DecodeStream), us(r.DecodeRef), r.DecodeSpeedup())
+			us(r.DecodeStream))
 	}
 	return b.String()
 }
@@ -260,7 +252,7 @@ type WireSnapshot struct {
 func WireSnapshotJSON(rows []WireRow) ([]byte, error) {
 	snap := WireSnapshot{
 		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note:      "durations in ns, best-of-3 amortized; outputs verified identical between streaming and reference paths before timing",
+		Note:      "durations in ns, best-of-3 amortized; encoder outputs verified identical between streaming and reference paths, and decodes verified to re-encode to the original message, before timing",
 		Rows:      rows,
 	}
 	return json.MarshalIndent(snap, "", "  ")

@@ -831,36 +831,46 @@ func AppendContent(el *xdm.Node, v xdm.Sequence) error { return appendContent(el
 
 // appendContent inserts a sequence into constructed element content:
 // nodes are deep-copied (constructors copy, per XQuery), adjacent
-// atomics join with single spaces into text nodes.
+// atomics join with single spaces into text nodes. A run of atomics is
+// joined before it reaches the element, so a long run costs linear time.
 func appendContent(el *xdm.Node, v xdm.Sequence) error {
-	prevAtomic := false
+	var run strings.Builder
+	inRun := false
+	flush := func() {
+		if run.Len() == 0 {
+			return
+		}
+		if n := len(el.Children); n > 0 && el.Children[n-1].Kind == xdm.TextNode {
+			el.Children[n-1].Value += run.String()
+		} else {
+			el.AppendChild(xdm.NewText(run.String()))
+		}
+		run.Reset()
+	}
 	for _, it := range v {
-		switch x := it.(type) {
-		case *xdm.Node:
-			switch x.Kind {
-			case xdm.AttributeNode:
-				el.SetAttr(xdm.NewAttribute(x.Name, x.Value))
-			case xdm.DocumentNode:
-				for _, c := range x.Children {
-					el.AppendChild(c.Clone())
-				}
-			default:
-				el.AppendChild(x.Clone())
+		x, ok := it.(*xdm.Node)
+		if !ok {
+			if inRun {
+				run.WriteByte(' ')
 			}
-			prevAtomic = false
+			run.WriteString(it.StringValue())
+			inRun = true
+			continue
+		}
+		flush()
+		inRun = false
+		switch x.Kind {
+		case xdm.AttributeNode:
+			el.SetAttr(xdm.NewAttribute(x.Name, x.Value))
+		case xdm.DocumentNode:
+			for _, c := range x.Children {
+				el.AppendChild(c.Clone())
+			}
 		default:
-			s := it.StringValue()
-			if prevAtomic {
-				s = " " + s
-			}
-			if len(el.Children) > 0 && el.Children[len(el.Children)-1].Kind == xdm.TextNode {
-				el.Children[len(el.Children)-1].Value += s
-			} else if s != "" {
-				el.AppendChild(xdm.NewText(s))
-			}
-			prevAtomic = true
+			el.AppendChild(x.Clone())
 		}
 	}
+	flush()
 	return nil
 }
 

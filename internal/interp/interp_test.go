@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xrpc/internal/modules"
 	"xrpc/internal/store"
@@ -223,6 +225,33 @@ func TestEvalConstructors(t *testing.T) {
 		if got := evalStr(t, e, q); got != want {
 			t.Errorf("%s = %q, want %q", q, got, want)
 		}
+	}
+}
+
+// TestConstructorJoinsLongAtomicRunsInLinearTime is the regression
+// test for the quadratic text merge in element content: 200k adjacent
+// atomics become one text node without re-copying it per item.
+func TestConstructorJoinsLongAtomicRunsInLinearTime(t *testing.T) {
+	e, _ := newTestEngine(t)
+	start := time.Now()
+	seq := evalQuery(t, e, `<a>x{(1 to 200000, <b/>, "", 7)}{("", "")}</a>`)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("constructing 200k atomics took %v", took)
+	}
+	a := seq[0].(*xdm.Node)
+	if len(a.Children) != 3 || a.Children[1].Name != "b" {
+		t.Fatalf("children = %d", len(a.Children))
+	}
+	var want strings.Builder
+	want.WriteString("x1")
+	for i := 2; i <= 200000; i++ {
+		fmt.Fprintf(&want, " %d", i)
+	}
+	if got := a.Children[0].Value; got != want.String() {
+		t.Fatalf("joined run has %d bytes, want %d", len(got), want.Len())
+	}
+	if got := a.Children[2].Value; got != " 7 " {
+		t.Fatalf("second run = %q, want %q", got, " 7 ")
 	}
 }
 

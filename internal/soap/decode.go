@@ -7,19 +7,49 @@ import (
 	"time"
 
 	"xrpc/internal/xdm"
+	"xrpc/internal/xmlscan"
 )
 
 // decode.go is the streaming envelope decoder: it drives the
-// pull-tokenizer (scan.go) through the XRPC envelope grammar and builds
+// pull-tokenizer (xmlscan) through the XRPC envelope grammar and builds
 // the Message directly — no DOM of the envelope is ever materialized.
 // xdm trees are constructed only for actual node-typed parameters and
-// results. The semantics are pinned to the DOM reference decoder
-// (DecodeDOM) by round-trip tests on every message fixture and a
-// differential test on randomized messages.
+// results. The semantics are pinned to a DOM reference decoder over
+// encoding/xml (DecodeDOM, in dom_test.go) by round-trip tests on every
+// message fixture and a differential test on randomized messages.
+
+// envelopeNames holds the names the XRPC envelope grammar uses with the
+// prefixes our encoder emits, plus the common xsi:type values — the
+// strings a well-formed message repeats per call. The scanner interns
+// them without allocating.
+var envelopeNames = map[string]string{}
+
+func init() {
+	for _, s := range []string{
+		"env:Envelope", "env:Body", "env:Fault", "env:Code", "env:Value",
+		"env:Reason", "env:Text",
+		"xrpc:request", "xrpc:response", "xrpc:call", "xrpc:sequence",
+		"xrpc:atomic-value", "xrpc:element", "xrpc:document",
+		"xrpc:attribute", "xrpc:text", "xrpc:comment", "xrpc:pi",
+		"xrpc:queryID", "xrpc:participatingPeers", "xrpc:peer",
+		"xrpc:module", "xrpc:method", "xrpc:arity", "xrpc:location",
+		"xrpc:updCall", "xrpc:seqNr", "xrpc:host", "xrpc:timestamp",
+		"xrpc:timeout", "xrpc:nodeid", "xrpc:target",
+		"xsi:type", "xsi:schemaLocation",
+		"xmlns:xrpc", "xmlns:env", "xmlns:xs", "xmlns:xsi", "xml:lang",
+		"uri", "en", "true", "false",
+		"xs:string", "xs:integer", "xs:decimal", "xs:double",
+		"xs:boolean", "xs:untypedAtomic",
+		NSEnv, NSXRPC, NSXS, NSXSI, SchemaLoc,
+	} {
+		envelopeNames[s] = s
+	}
+}
 
 // Decode parses a SOAP XRPC message of any kind.
 func Decode(data []byte) (*Message, error) {
-	d := &decoder{sc: scanner{data: data}}
+	d := &decoder{}
+	d.sc.Reset(data, envelopeNames)
 	return d.decodeMessage()
 }
 
@@ -52,7 +82,7 @@ func DecodeResponse(data []byte) (*Response, error) {
 }
 
 type decoder struct {
-	sc scanner
+	sc xmlscan.Scanner
 	// arena slab-allocates the xdm nodes of decoded node-typed values:
 	// one allocation per 64 nodes instead of one each.
 	arena xdm.Arena
@@ -61,9 +91,9 @@ type decoder struct {
 // attrLocalScan reads an attribute of the current start tag by local
 // name, any prefix (the streaming counterpart of attrLocal).
 func (d *decoder) attrLocalScan(local string) string {
-	for _, a := range d.sc.attrs {
-		if localName(a.name) == local {
-			return a.value
+	for _, a := range d.sc.Attrs {
+		if localName(a.Name) == local {
+			return a.Value
 		}
 	}
 	return ""
@@ -73,9 +103,9 @@ func (d *decoder) attrLocalScan(local string) string {
 // DOM decoder matched xsi:type and uri exactly, so the streaming decoder
 // does too.
 func (d *decoder) attrExactScan(name string) (string, bool) {
-	for _, a := range d.sc.attrs {
-		if a.name == name {
-			return a.value, true
+	for _, a := range d.sc.Attrs {
+		if a.Name == name {
+			return a.Value, true
 		}
 	}
 	return "", false
@@ -84,15 +114,15 @@ func (d *decoder) attrExactScan(name string) (string, bool) {
 func (d *decoder) decodeMessage() (*Message, error) {
 	// locate the Envelope among the top-level elements
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
 		switch tok {
-		case tokEOF:
+		case xmlscan.EOF:
 			return nil, fmt.Errorf("soap: missing Envelope")
-		case tokStart:
-			if localName(d.sc.name) == "Envelope" {
+		case xmlscan.Start:
+			if localName(d.sc.Name) == "Envelope" {
 				msg, err := d.decodeEnvelope()
 				if err != nil {
 					return nil, err
@@ -116,19 +146,19 @@ func (d *decoder) decodeMessage() (*Message, error) {
 // decodeEnvelope handles the children of env:Envelope: the first Body
 // child carries the message.
 func (d *decoder) decodeEnvelope() (*Message, error) {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return nil, fmt.Errorf("soap: missing Body")
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	var msg *Message
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
 		switch tok {
-		case tokStart:
-			if msg == nil && localName(d.sc.name) == "Body" {
+		case xmlscan.Start:
+			if msg == nil && localName(d.sc.Name) == "Body" {
 				if msg, err = d.decodeBody(); err != nil {
 					return nil, err
 				}
@@ -137,8 +167,8 @@ func (d *decoder) decodeEnvelope() (*Message, error) {
 			if err := d.skipElement(); err != nil {
 				return nil, err
 			}
-		case tokEnd:
-			if d.sc.depth == target {
+		case xmlscan.End:
+			if d.sc.Depth == target {
 				if msg == nil {
 					return nil, fmt.Errorf("soap: missing Body")
 				}
@@ -157,23 +187,23 @@ func (d *decoder) decodeBody() (*Message, error) {
 		resp  *Response
 		fault *Fault
 	)
-	if !d.sc.selfClose {
-		target := d.sc.depth - 1
+	if !d.sc.SelfClose {
+		target := d.sc.Depth - 1
 		for {
-			tok, err := d.sc.next()
+			tok, err := d.sc.Next()
 			if err != nil {
 				return nil, err
 			}
-			if tok == tokEnd {
-				if d.sc.depth == target {
+			if tok == xmlscan.End {
+				if d.sc.Depth == target {
 					break
 				}
 				continue
 			}
-			if tok != tokStart {
+			if tok != xmlscan.Start {
 				continue
 			}
-			switch local := localName(d.sc.name); {
+			switch local := localName(d.sc.Name); {
 			case local == "Fault" && fault == nil:
 				if fault, err = d.decodeFault(); err != nil {
 					return nil, err
@@ -213,18 +243,18 @@ func (d *decoder) decodeRequest() (*Request, error) {
 		TraceID:  d.attrLocalScan("traceID"),
 	}
 	scanIntInto(d.attrLocalScan("arity"), &req.Arity)
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return req, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
 		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
+		case xmlscan.End:
+			if d.sc.Depth == target {
 				if req.SeqNrs != nil {
 					for len(req.SeqNrs) < len(req.Calls) {
 						req.SeqNrs = append(req.SeqNrs, int64(len(req.SeqNrs)))
@@ -232,8 +262,8 @@ func (d *decoder) decodeRequest() (*Request, error) {
 				}
 				return req, nil
 			}
-		case tokStart:
-			switch localName(d.sc.name) {
+		case xmlscan.Start:
+			switch localName(d.sc.Name) {
 			case "queryID":
 				if req.QueryID != nil {
 					if err := d.skipElement(); err != nil {
@@ -267,23 +297,23 @@ func (d *decoder) decodeRequest() (*Request, error) {
 func (d *decoder) decodeCall(req *Request) error {
 	seqNr := d.attrLocalScan("seqNr")
 	var params []xdm.Sequence
-	if !d.sc.selfClose {
-		target := d.sc.depth - 1
+	if !d.sc.SelfClose {
+		target := d.sc.Depth - 1
 		for {
-			tok, err := d.sc.next()
+			tok, err := d.sc.Next()
 			if err != nil {
 				return err
 			}
-			if tok == tokEnd {
-				if d.sc.depth == target {
+			if tok == xmlscan.End {
+				if d.sc.Depth == target {
 					break
 				}
 				continue
 			}
-			if tok != tokStart {
+			if tok != xmlscan.Start {
 				continue
 			}
-			if localName(d.sc.name) != "sequence" {
+			if localName(d.sc.Name) != "sequence" {
 				if err := d.skipElement(); err != nil {
 					return err
 				}
@@ -321,22 +351,22 @@ func (d *decoder) decodeCall(req *Request) error {
 // out as fresh sealed fragments that cannot see the envelope.
 func (d *decoder) decodeSequence() (xdm.Sequence, error) {
 	var out xdm.Sequence
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return out, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
+		if tok == xmlscan.End {
+			if d.sc.Depth == target {
 				return out, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
 		if out, err = d.decodeSequenceItem(out); err != nil {
@@ -352,7 +382,7 @@ func (d *decoder) decodeSequence() (xdm.Sequence, error) {
 // items are appended rather than returned singly. Shared by the
 // buffered decoder (decodeSequence) and the incremental ResponseStream.
 func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
-	switch localName(d.sc.name) {
+	switch localName(d.sc.Name) {
 	case "atomic-value":
 		typ, _ := d.attrExactScan("xsi:type")
 		if typ == "" {
@@ -391,8 +421,8 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		}
 		out = append(out, doc)
 	case "attribute":
-		for _, a := range d.sc.attrs {
-			attr := d.arena.Attribute(a.name, a.value)
+		for _, a := range d.sc.Attrs {
+			attr := d.arena.Attribute(a.Name, a.Value)
 			attr.Seal()
 			out = append(out, attr)
 		}
@@ -425,7 +455,7 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		pi.Seal()
 		out = append(out, pi)
 	default:
-		return nil, fmt.Errorf("soap: unknown sequence item element %q", d.sc.name)
+		return nil, fmt.Errorf("soap: unknown sequence item element %q", d.sc.Name)
 	}
 	return out, nil
 }
@@ -435,25 +465,25 @@ func (d *decoder) decodeResponse() (*Response, error) {
 		Module: d.attrLocalScan("module"),
 		Method: d.attrLocalScan("method"),
 	}
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return resp, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
+		if tok == xmlscan.End {
+			if d.sc.Depth == target {
 				return resp, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "sequence":
 			seq, err := d.decodeSequence()
 			if err != nil {
@@ -475,22 +505,22 @@ func (d *decoder) decodeResponse() (*Response, error) {
 // decodePeers consumes an <xrpc:participatingPeers> element whose start
 // tag is current, appending each peer child's uri attribute.
 func (d *decoder) decodePeers(peers []string) ([]string, error) {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return peers, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
+		if tok == xmlscan.End {
+			if d.sc.Depth == target {
 				return peers, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
 		if uri, ok := d.attrExactScan("uri"); ok {
@@ -504,48 +534,48 @@ func (d *decoder) decodePeers(peers []string) ([]string, error) {
 
 func (d *decoder) decodeFault() (*Fault, error) {
 	fault := &Fault{Code: "env:Receiver"}
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return fault, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	seenCode, seenReason := false, false
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
+		if tok == xmlscan.End {
+			if d.sc.Depth == target {
 				return fault, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		switch local := localName(d.sc.name); {
+		switch local := localName(d.sc.Name); {
 		case local == "Code" && !seenCode:
 			seenCode = true
-			if d.sc.selfClose {
+			if d.sc.SelfClose {
 				continue
 			}
-			ctarget := d.sc.depth - 1
+			ctarget := d.sc.Depth - 1
 			seenValue := false
 			for {
-				tok, err := d.sc.next()
+				tok, err := d.sc.Next()
 				if err != nil {
 					return nil, err
 				}
-				if tok == tokEnd {
-					if d.sc.depth == ctarget {
+				if tok == xmlscan.End {
+					if d.sc.Depth == ctarget {
 						break
 					}
 					continue
 				}
-				if tok != tokStart {
+				if tok != xmlscan.Start {
 					continue
 				}
-				if localName(d.sc.name) == "Value" && !seenValue {
+				if localName(d.sc.Name) == "Value" && !seenValue {
 					seenValue = true
 					sv, err := d.elementText()
 					if err != nil {
@@ -579,22 +609,22 @@ func (d *decoder) decodeFault() (*Fault, error) {
 // fresh sealed trees (text and other non-element content between them is
 // dropped, as the DOM decoder's ChildElements did).
 func (d *decoder) childElements() ([]*xdm.Node, error) {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return nil, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	var out []*xdm.Node
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
 		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
+		case xmlscan.End:
+			if d.sc.Depth == target {
 				return out, nil
 			}
-		case tokStart:
+		case xmlscan.Start:
 			n, err := d.buildElement()
 			if err != nil {
 				return nil, err
@@ -610,11 +640,11 @@ func (d *decoder) childElements() ([]*xdm.Node, error) {
 // matching the DOM decoder's clone of v.Children.
 func (d *decoder) buildDocument() (*xdm.Node, error) {
 	doc := d.arena.Document("")
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		doc.Seal()
 		return doc, nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	if err := d.buildChildren(doc, target); err != nil {
 		return nil, err
 	}
@@ -625,14 +655,14 @@ func (d *decoder) buildDocument() (*xdm.Node, error) {
 // buildElement builds the element at the current start token (with its
 // whole subtree) into a fresh, unsealed tree.
 func (d *decoder) buildElement() (*xdm.Node, error) {
-	el := d.arena.Element(d.sc.name)
-	for _, a := range d.sc.attrs {
-		el.SetAttr(d.arena.Attribute(a.name, a.value))
+	el := d.arena.Element(d.sc.Name)
+	for _, a := range d.sc.Attrs {
+		el.SetAttr(d.arena.Attribute(a.Name, a.Value))
 	}
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return el, nil
 	}
-	if err := d.buildChildren(el, d.sc.depth-1); err != nil {
+	if err := d.buildChildren(el, d.sc.Depth-1); err != nil {
 		return nil, err
 	}
 	return el, nil
@@ -644,55 +674,59 @@ func (d *decoder) buildElement() (*xdm.Node, error) {
 func (d *decoder) buildChildren(parent *xdm.Node, target int) error {
 	cur := parent
 	var stack []*xdm.Node
+	// adjacent text tokens (CDATA boundaries) merge into one text node,
+	// like the reference parser; a run that is empty (empty CDATA
+	// sections) makes none, as the encoder cannot write an empty text
+	// node and a decoded message must re-encode to itself
+	var text xmlscan.TextRun
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
+		if tok == xmlscan.Text {
+			v, err := d.sc.TextValue()
+			if err != nil {
+				return err
+			}
+			text.Add(v)
+			continue
+		}
+		if tok == xmlscan.PI && d.sc.Name == "xml" {
+			continue // XML declaration
+		}
+		if v := text.Take(); v != "" {
+			cur.AppendChild(d.arena.Text(v))
+		}
 		switch tok {
-		case tokStart:
-			child := d.arena.Element(d.sc.name)
-			for _, a := range d.sc.attrs {
-				child.SetAttr(d.arena.Attribute(a.name, a.value))
+		case xmlscan.Start:
+			child := d.arena.Element(d.sc.Name)
+			for _, a := range d.sc.Attrs {
+				child.SetAttr(d.arena.Attribute(a.Name, a.Value))
 			}
 			cur.AppendChild(child)
-			if !d.sc.selfClose {
+			if !d.sc.SelfClose {
 				stack = append(stack, cur)
 				cur = child
 			}
-		case tokEnd:
-			if d.sc.depth == target {
+		case xmlscan.End:
+			if d.sc.Depth == target {
 				return nil
 			}
 			cur = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case tokText:
-			v, err := d.sc.textValue()
-			if err != nil {
-				return err
-			}
-			// merge adjacent text (CDATA boundaries), like the reference
-			// parser
-			if n := len(cur.Children); n > 0 && cur.Children[n-1].Kind == xdm.TextNode {
-				cur.Children[n-1].Value += v
-				continue
-			}
-			cur.AppendChild(d.arena.Text(v))
-		case tokComment:
-			v, err := d.sc.textValue()
+		case xmlscan.Comment:
+			v, err := d.sc.TextValue()
 			if err != nil {
 				return err
 			}
 			cur.AppendChild(d.arena.Comment(v))
-		case tokPI:
-			if d.sc.name == "xml" {
-				continue // XML declaration
-			}
-			v, err := d.sc.textValue()
+		case xmlscan.PI:
+			v, err := d.sc.TextValue()
 			if err != nil {
 				return err
 			}
-			cur.AppendChild(d.arena.PI(d.sc.name, v))
+			cur.AppendChild(d.arena.PI(d.sc.Name, v))
 		}
 	}
 }
@@ -702,16 +736,16 @@ func (d *decoder) buildChildren(parent *xdm.Node, target int) error {
 // skipElement consumes the rest of the element whose start tag is the
 // current token, ignoring all content.
 func (d *decoder) skipElement() error {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEnd && d.sc.depth == target {
+		if tok == xmlscan.End && d.sc.Depth == target {
 			return nil
 		}
 	}
@@ -721,27 +755,27 @@ func (d *decoder) skipElement() error {
 // concatenation of all descendant text — fn:string of the element, the
 // value the DOM decoder read via StringValue.
 func (d *decoder) elementText() (string, error) {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return "", nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth - 1
 	first := ""
 	var buf []byte
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return "", err
 		}
 		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
+		case xmlscan.End:
+			if d.sc.Depth == target {
 				if buf != nil {
 					return string(buf), nil
 				}
 				return first, nil
 			}
-		case tokText:
-			v, err := d.sc.textValue()
+		case xmlscan.Text:
+			v, err := d.sc.TextValue()
 			if err != nil {
 				return "", err
 			}
@@ -762,11 +796,11 @@ func (d *decoder) elementText() (string, error) {
 // performed.
 func (d *decoder) drain() error {
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEOF {
+		if tok == xmlscan.EOF {
 			return nil
 		}
 	}

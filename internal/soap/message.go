@@ -6,11 +6,12 @@
 // piggyback used by distributed commit (§2.3), and SOAP Fault errors.
 //
 // The wire path is streaming and allocation-lean: encoding goes through
-// the pooled Encoder (encoder.go), decoding through a pull-tokenizer
-// specialized for the XRPC envelope grammar (scan.go, decode.go). The
-// seed's DOM-based implementations survive as executable references
-// (refenc.go, DecodeDOM below) that differential tests pin against the
-// streaming paths.
+// the pooled Encoder (encoder.go), decoding through the repository's
+// pull-tokenizer (internal/xmlscan) driven by the XRPC envelope grammar
+// (decode.go). The seed's builder encoder survives as an executable
+// reference (refenc.go), and its DOM decoder, over encoding/xml, as a
+// test oracle (dom_test.go); differential tests pin the streaming paths
+// against both.
 package soap
 
 import (
@@ -153,8 +154,6 @@ func SequenceToNode(seq xdm.Sequence) *xdm.Node {
 	return root
 }
 
-// ------------------------------------------------- DOM decoder (reference)
-
 // Message is the decoded form of any XRPC envelope body.
 type Message struct {
 	Request  *Request
@@ -162,147 +161,14 @@ type Message struct {
 	Fault    *Fault
 }
 
-// DecodeDOM parses a SOAP XRPC message of any kind by materializing the
-// whole envelope as an xdm.Node tree and walking it — the seed's
-// decoder, kept as the executable reference the streaming pull-decoder
-// (decode.go) is differentially tested against.
-func DecodeDOM(data []byte) (*Message, error) {
-	doc, err := xdm.ParseDocument("soap-message", string(data))
-	if err != nil {
-		return nil, fmt.Errorf("soap: malformed envelope: %w", err)
-	}
-	env := firstChildLocal(doc, "Envelope")
-	if env == nil {
-		return nil, fmt.Errorf("soap: missing Envelope")
-	}
-	body := firstChildLocal(env, "Body")
-	if body == nil {
-		return nil, fmt.Errorf("soap: missing Body")
-	}
-	if f := firstChildLocal(body, "Fault"); f != nil {
-		return &Message{Fault: decodeFaultDOM(f)}, nil
-	}
-	if rq := firstChildLocal(body, "request"); rq != nil {
-		req, err := decodeRequestDOM(rq)
-		if err != nil {
-			return nil, err
-		}
-		return &Message{Request: req}, nil
-	}
-	if rs := firstChildLocal(body, "response"); rs != nil {
-		resp, err := decodeResponseDOM(rs)
-		if err != nil {
-			return nil, err
-		}
-		return &Message{Response: resp}, nil
-	}
-	return nil, fmt.Errorf("soap: body contains no request, response or fault")
-}
-
-func decodeRequestDOM(rq *xdm.Node) (*Request, error) {
-	req := &Request{
-		Module:   attrLocal(rq, "module"),
-		Method:   attrLocal(rq, "method"),
-		Location: attrLocal(rq, "location"),
-		Updating: attrLocal(rq, "updCall") == "true",
-		TraceID:  attrLocal(rq, "traceID"),
-	}
-	fmt.Sscanf(attrLocal(rq, "arity"), "%d", &req.Arity)
-	if q := firstChildLocal(rq, "queryID"); q != nil {
-		qid := &QueryID{
-			ID:   q.StringValue(),
-			Host: attrLocal(q, "host"),
-		}
-		if ts, err := time.Parse(time.RFC3339Nano, attrLocal(q, "timestamp")); err == nil {
-			qid.Timestamp = ts
-		}
-		fmt.Sscanf(attrLocal(q, "timeout"), "%d", &qid.Timeout)
-		req.QueryID = qid
-	}
-	for _, c := range rq.ChildElements() {
-		if localName(c.Name) != "call" {
-			continue
-		}
-		var params []xdm.Sequence
-		for _, s := range c.ChildElements() {
-			if localName(s.Name) != "sequence" {
-				continue
-			}
-			seq, err := DecodeSequence(s)
-			if err != nil {
-				return nil, err
-			}
-			params = append(params, seq)
-		}
-		if req.Arity > 0 && len(params) != req.Arity {
-			return nil, fmt.Errorf("soap: call has %d parameters, arity is %d", len(params), req.Arity)
-		}
-		if err := ResolveNodeRefs(params); err != nil {
-			return nil, err
-		}
-		if sn := attrLocal(c, "seqNr"); sn != "" {
-			var v int64
-			fmt.Sscanf(sn, "%d", &v)
-			// pad earlier untagged calls with their index
-			for len(req.SeqNrs) < len(req.Calls) {
-				req.SeqNrs = append(req.SeqNrs, int64(len(req.SeqNrs)))
-			}
-			req.SeqNrs = append(req.SeqNrs, v)
-		}
-		req.Calls = append(req.Calls, params)
-	}
-	if req.SeqNrs != nil {
-		for len(req.SeqNrs) < len(req.Calls) {
-			req.SeqNrs = append(req.SeqNrs, int64(len(req.SeqNrs)))
-		}
-	}
-	return req, nil
-}
-
-func decodeResponseDOM(rs *xdm.Node) (*Response, error) {
-	resp := &Response{
-		Module: attrLocal(rs, "module"),
-		Method: attrLocal(rs, "method"),
-	}
-	for _, c := range rs.ChildElements() {
-		switch localName(c.Name) {
-		case "sequence":
-			seq, err := DecodeSequence(c)
-			if err != nil {
-				return nil, err
-			}
-			resp.Results = append(resp.Results, seq)
-		case "participatingPeers":
-			for _, p := range c.ChildElements() {
-				if uri, ok := p.Attr("uri"); ok {
-					resp.Peers = append(resp.Peers, uri)
-				}
-			}
-		}
-	}
-	return resp, nil
-}
-
-func decodeFaultDOM(f *xdm.Node) *Fault {
-	fault := &Fault{Code: "env:Receiver"}
-	if code := firstChildLocal(f, "Code"); code != nil {
-		if v := firstChildLocal(code, "Value"); v != nil {
-			fault.Code = strings.TrimSpace(v.StringValue())
-		}
-	}
-	if reason := firstChildLocal(f, "Reason"); reason != nil {
-		fault.Reason = strings.TrimSpace(reason.StringValue())
-	}
-	return fault
-}
-
 // DecodeSequence is n2s (§2.2): converts an <xrpc:sequence> element back
 // into an XDM sequence. Node-typed values come out as fresh XML
 // fragments: navigating upwards or sideways from them yields empty
 // results, which is exactly the call-by-value guarantee the formal
 // semantics requires (a decoded node must never expose the SOAP envelope
-// or sibling parameters). Besides the DOM decoder, the §4 wrapper uses
-// it on constructed (never-serialized) response trees.
+// or sibling parameters). The §4 wrapper uses it on constructed
+// (never-serialized) response trees, and the DOM reference decoder of
+// the tests on parsed envelopes.
 func DecodeSequence(seqEl *xdm.Node) (xdm.Sequence, error) {
 	var out xdm.Sequence
 	for _, v := range seqEl.ChildElements() {
@@ -369,18 +235,6 @@ func localName(name string) string {
 		return name[i+1:]
 	}
 	return name
-}
-
-// firstChildLocal finds the first child element with the given local
-// name, tolerating any namespace prefix (interoperability: other
-// implementations may choose different prefixes).
-func firstChildLocal(n *xdm.Node, local string) *xdm.Node {
-	for _, c := range n.ChildElements() {
-		if localName(c.Name) == local {
-			return c
-		}
-	}
-	return nil
 }
 
 // attrLocal reads an attribute by local name regardless of prefix.

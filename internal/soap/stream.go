@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"xrpc/internal/xdm"
+	"xrpc/internal/xmlscan"
 )
 
 // stream.go is the incremental face of the decoder: the same grammar
@@ -21,7 +22,8 @@ import (
 // decoding incrementally as bytes arrive. It accepts and produces
 // exactly what Decode does.
 func DecodeStream(r io.Reader) (*Message, error) {
-	d := &decoder{sc: scanner{src: r}}
+	d := &decoder{}
+	d.sc.ResetReader(r, envelopeNames)
 	return d.decodeMessage()
 }
 
@@ -103,7 +105,7 @@ type ResponseStream struct {
 // request makes it a not-a-response error.
 func NewResponseStream(r io.Reader) (*ResponseStream, error) {
 	rs := &ResponseStream{}
-	rs.d.sc.src = r
+	rs.d.sc.ResetReader(r, envelopeNames)
 	if err := rs.header(); err != nil {
 		return nil, err
 	}
@@ -120,69 +122,69 @@ func (rs *ResponseStream) header() error {
 	d := &rs.d
 	// locate the Envelope among the top-level elements (decodeMessage)
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEOF {
+		if tok == xmlscan.EOF {
 			return fmt.Errorf("soap: missing Envelope")
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		if localName(d.sc.name) == "Envelope" {
+		if localName(d.sc.Name) == "Envelope" {
 			break
 		}
 		if err := d.skipElement(); err != nil {
 			return err
 		}
 	}
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return fmt.Errorf("soap: missing Body")
 	}
-	rs.envTgt = d.sc.depth - 1
+	rs.envTgt = d.sc.Depth - 1
 	// first Body child (decodeEnvelope)
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.envTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.envTgt {
 				return fmt.Errorf("soap: missing Body")
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		if localName(d.sc.name) == "Body" {
+		if localName(d.sc.Name) == "Body" {
 			break
 		}
 		if err := d.skipElement(); err != nil {
 			return err
 		}
 	}
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return fmt.Errorf("soap: body contains no request, response or fault")
 	}
-	rs.bodyTgt = d.sc.depth - 1
+	rs.bodyTgt = d.sc.Depth - 1
 	// first meaningful Body child (decodeBody, taken in document order)
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.bodyTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.bodyTgt {
 				return fmt.Errorf("soap: body contains no request, response or fault")
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "Fault":
 			f, err := d.decodeFault()
 			if err != nil {
@@ -194,10 +196,10 @@ func (rs *ResponseStream) header() error {
 		case "response":
 			rs.module = d.attrLocalScan("module")
 			rs.method = d.attrLocalScan("method")
-			if d.sc.selfClose {
+			if d.sc.SelfClose {
 				rs.done = true
 			} else {
-				rs.respTgt = d.sc.depth - 1
+				rs.respTgt = d.sc.Depth - 1
 			}
 			return nil
 		default:
@@ -226,26 +228,26 @@ func (rs *ResponseStream) NextSequence() (bool, error) {
 	}
 	d := &rs.d
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return false, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.respTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.respTgt {
 				rs.done = true
 				return false, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "sequence":
 			rs.inSeq = true
-			rs.seqEnd = d.sc.selfClose
-			if !d.sc.selfClose {
-				rs.seqTgt = d.sc.depth - 1
+			rs.seqEnd = d.sc.SelfClose
+			if !d.sc.SelfClose {
+				rs.seqTgt = d.sc.Depth - 1
 			}
 			return true, nil
 		case "participatingPeers":
@@ -279,18 +281,18 @@ func (rs *ResponseStream) NextItem() (xdm.Item, error) {
 	}
 	d := &rs.d
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.seqTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.seqTgt {
 				rs.inSeq = false
 				return nil, nil
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
 		rs.queue = rs.queue[:0]
@@ -332,20 +334,20 @@ func (rs *ResponseStream) Finish() ([]string, error) {
 	}
 	d := &rs.d
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.bodyTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.bodyTgt {
 				break
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "Fault":
 			f, err := d.decodeFault()
 			if err != nil {
@@ -361,17 +363,17 @@ func (rs *ResponseStream) Finish() ([]string, error) {
 		}
 	}
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.envTgt {
+		if tok == xmlscan.End {
+			if d.sc.Depth == rs.envTgt {
 				break
 			}
 			continue
 		}
-		if tok != tokStart {
+		if tok != xmlscan.Start {
 			continue
 		}
 		if err := d.skipElement(); err != nil {

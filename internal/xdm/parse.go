@@ -1,22 +1,22 @@
 package xdm
 
 import (
-	"encoding/xml"
-	"fmt"
-	"io"
 	"strings"
+
+	"xrpc/internal/xmlscan"
 )
 
 // ParseDocument parses XML text into a sealed document node with the
 // given URI. Namespace prefixes are kept verbatim in node names (the
 // reproduction treats QNames lexically, which suffices for the paper's
-// workloads and the XRPC envelope).
+// workloads and the XRPC envelope). The tokenizer runs in document
+// mode, so a text parses exactly when encoding/xml's RawToken accepted
+// it; end-tag names, as there, are not matched against start tags.
 func ParseDocument(uri, text string) (*Node, error) {
 	doc := NewDocument(uri)
-	if err := parseInto(doc, strings.NewReader(text)); err != nil {
+	if err := parseInto(doc, text); err != nil {
 		return nil, err
 	}
-	doc.Seal()
 	return doc, nil
 }
 
@@ -24,75 +24,104 @@ func ParseDocument(uri, text string) (*Node, error) {
 // the parsed top-level nodes (each sealed as its own fragment tree).
 func ParseFragment(text string) ([]*Node, error) {
 	doc := NewDocument("")
-	if err := parseInto(doc, strings.NewReader(text)); err != nil {
+	if err := parseInto(doc, text); err != nil {
 		return nil, err
 	}
 	for _, c := range doc.Children {
-		c.Parent = nil
+		c.Parent, c.tree = nil, nil // a fresh tree of its own
 		c.Seal()
 	}
 	return doc.Children, nil
 }
 
-func parseInto(doc *Node, r io.Reader) error {
-	dec := xml.NewDecoder(r)
-	// Keep prefixes: the stdlib decoder resolves namespaces; we re-attach
-	// a prefix when the token carried one by inspecting Name.Space.
-	var stack []*Node
-	cur := doc
+// parseInto builds the content of text under doc and seals the tree:
+// nodes are created in document order, so each gets its tree and
+// preorder ordinal as it is made, and Seal's walk is not needed. Child
+// lists are collected on one shared stack and copied out, exactly
+// sized, when their parent closes.
+func parseInto(doc *Node, text string) error {
+	var sc xmlscan.Scanner
+	sc.ResetDocument([]byte(text))
+	ord := 1 // the document node is 0
+	newNode := func(kind NodeKind, name, value string, parent *Node) *Node {
+		n := &Node{Kind: kind, Name: name, Value: value, Parent: parent, tree: doc.tree, ord: ord}
+		ord++
+		return n
+	}
+	var (
+		open  = []*Node{doc} // open elements, doc at the bottom
+		first = []int{0}     // where each open node's children start in kids
+		kids  []*Node
+		run   xmlscan.TextRun
+	)
 	for {
-		tok, err := dec.RawToken()
-		if err == io.EOF {
-			break
-		}
+		tok, err := sc.Next()
 		if err != nil {
-			return fmt.Errorf("xml parse: %w", err)
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := NewElement(rawName(t.Name))
-			for _, a := range t.Attr {
-				el.SetAttr(NewAttribute(rawName(a.Name), a.Value))
+		cur := open[len(open)-1]
+		if tok == xmlscan.Text {
+			v, err := sc.TextValue()
+			if err != nil {
+				return err
 			}
-			cur.AppendChild(el)
-			stack = append(stack, cur)
-			cur = el
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("xml parse: unbalanced end tag </%s>", rawName(t.Name))
+			if cur == doc && strings.TrimSpace(v) == "" {
+				continue // whitespace outside the root
 			}
-			cur = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if cur == doc && strings.TrimSpace(s) == "" {
-				continue // ignore whitespace outside the root
+			run.Add(v)
+			continue
+		}
+		if tok == xmlscan.PI && sc.Name == "xml" {
+			continue // XML declaration
+		}
+		if run.Pending() {
+			kids = append(kids, newNode(TextNode, "", run.Take(), cur))
+		}
+		switch tok {
+		case xmlscan.EOF:
+			doc.Children = closeChildren(kids, 0)
+			return nil
+		case xmlscan.Start:
+			el := newNode(ElementNode, sc.Name, "", cur)
+			if len(sc.Attrs) > 0 {
+				el.Attrs = make([]*Node, len(sc.Attrs))
+				for i, a := range sc.Attrs {
+					el.Attrs[i] = newNode(AttributeNode, a.Name, a.Value, el)
+				}
 			}
-			if len(cur.Children) > 0 && cur.Children[len(cur.Children)-1].Kind == TextNode {
-				cur.Children[len(cur.Children)-1].Value += s
-				continue
+			kids = append(kids, el)
+			if !sc.SelfClose {
+				open = append(open, el)
+				first = append(first, len(kids))
 			}
-			cur.AppendChild(NewText(s))
-		case xml.Comment:
-			cur.AppendChild(NewComment(string(t)))
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				continue // XML declaration
+		case xmlscan.End:
+			from := first[len(first)-1]
+			cur.Children = closeChildren(kids, from)
+			kids = kids[:from]
+			open, first = open[:len(open)-1], first[:len(first)-1]
+		case xmlscan.Comment:
+			v, err := sc.TextValue()
+			if err != nil {
+				return err
 			}
-			cur.AppendChild(NewPI(t.Target, string(t.Inst)))
-		case xml.Directive:
-			// DOCTYPE etc: ignored.
+			kids = append(kids, newNode(CommentNode, "", v, cur))
+		case xmlscan.PI:
+			v, err := sc.TextValue()
+			if err != nil {
+				return err
+			}
+			kids = append(kids, newNode(PINode, sc.Name, v, cur))
 		}
 	}
-	if len(stack) != 0 {
-		return fmt.Errorf("xml parse: %d unclosed element(s)", len(stack))
-	}
-	return nil
 }
 
-func rawName(n xml.Name) string {
-	if n.Space != "" {
-		return n.Space + ":" + n.Local
+// closeChildren copies the children collected from kids[from:] into an
+// exactly sized slice (nil when there are none).
+func closeChildren(kids []*Node, from int) []*Node {
+	if len(kids) == from {
+		return nil
 	}
-	return n.Local
+	c := make([]*Node, len(kids)-from)
+	copy(c, kids[from:])
+	return c
 }

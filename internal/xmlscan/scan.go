@@ -1,4 +1,4 @@
-package soap
+package xmlscan
 
 import (
 	"bytes"
@@ -8,59 +8,46 @@ import (
 	"unicode/utf8"
 )
 
-// scan.go is the hand-rolled pull-tokenizer behind the streaming decoder
-// (decode.go). It is specialized for what an XRPC envelope can contain —
-// elements, attributes, character data, CDATA, comments, processing
-// instructions, and a skipped DOCTYPE — and works directly on the
-// received []byte: no string(data) copy of the body, no reflection, no
-// DOM. Element and attribute names are interned (the envelope grammar
-// repeats the same two dozen names thousands of times in a bulk
-// request), attribute values hit the same table for the common xsi:type
-// names, and text is only unescaped when the decoder actually keeps it.
-//
-// The tokenizer has two input modes sharing every scan routine:
-//
-//   - byte mode: data holds the whole message, src is nil. Every
-//     "refill" is a no-op, so the hot loops behave exactly as they did
-//     when the scanner only accepted []byte.
-//   - stream mode: src refills data incrementally, so envelopes decode
-//     as bytes arrive off the socket. Scans hold absolute offsets into
-//     data, so refills only ever append; the consumed prefix is
-//     reclaimed between tokens (compact), keeping the window bounded by
-//     the largest single token plus one read.
+// Kind is the kind of the token Next produced.
+type Kind int
 
-// Token kinds produced by scanner.next.
-type tokenKind int
-
+// Token kinds.
 const (
-	tokEOF tokenKind = iota
-	// tokStart is a start tag (or self-closing element: selfClose set);
-	// name and attrs describe it.
-	tokStart
-	// tokEnd is an end tag. Mirroring the reference decoder (which used
-	// encoding/xml.RawToken), end-tag names are not matched against start
-	// tags — only balance is enforced.
-	tokEnd
-	// tokText is character data; text holds the raw bytes (entities
-	// still escaped unless cdata is set).
-	tokText
-	// tokComment is a comment; text holds the content.
-	tokComment
-	// tokPI is a processing instruction; name is the target, text the
+	EOF Kind = iota
+	// Start is a start tag (or a self-closing element: SelfClose set);
+	// Name and Attrs describe it.
+	Start
+	// End is an end tag. End-tag names are not matched against start
+	// tags (encoding/xml's RawToken does not either); only balance is
+	// enforced.
+	End
+	// Text is character data or a CDATA section; TextValue decodes it.
+	Text
+	// Comment is a comment; TextValue returns its content.
+	Comment
+	// PI is a processing instruction; Name is the target, TextValue the
 	// instruction.
-	tokPI
+	PI
 )
 
-type scanAttr struct{ name, value string }
+// Attr is one attribute of the current start tag, value unescaped.
+type Attr struct{ Name, Value string }
 
-// scanner is the pull tokenizer state. The zero value plus data is ready
-// to use (byte mode); setting src instead selects stream mode.
-type scanner struct {
+// Scanner is the pull tokenizer state. Select a mode with Reset,
+// ResetReader or ResetDocument, then call Next until it returns EOF or
+// an error.
+type Scanner struct {
+	// Name, Attrs and SelfClose describe the current token (see Kind);
+	// they stay valid until the following Next call.
+	Name      string
+	Attrs     []Attr
+	SelfClose bool
+	// Depth is the element nesting depth after the current token. Next
+	// maintains it and rejects underflow and unclosed elements at EOF.
+	Depth int
+
 	data []byte
 	pos  int
-	// depth is the current element nesting depth; next() maintains it
-	// and rejects underflow and unclosed elements at EOF.
-	depth int
 
 	// src, when non-nil, refills data from an incremental reader. It is
 	// cleared at EOF; a non-EOF read error is held in srcErr and
@@ -68,16 +55,41 @@ type scanner struct {
 	src    io.Reader
 	srcErr error
 
-	// current-token state, valid until the following next() call
-	name      string
-	attrs     []scanAttr
-	selfClose bool
-	text      []byte
-	cdata     bool
+	// text is the current text/comment/PI token's raw bytes: entities
+	// still escaped unless cdata is set; a cdata token that is also
+	// verbatim (set only together with cdata) keeps its line ends too.
+	text     []byte
+	cdata    bool
+	verbatim bool
 
-	// names interns tag/attribute names not in the static table.
+	// strict selects document mode.
+	strict bool
+
+	// common pre-interns the names and attribute values a message
+	// grammar repeats (read only, shared between scanners).
+	common map[string]string
+	// names interns tag/attribute names not in common (and, outside
+	// document mode, short texts too).
 	names map[string]string
 }
+
+// Reset prepares s to tokenize data, a whole message. common, which may
+// be nil, maps the strings the message grammar repeats to themselves;
+// names and attribute values found there are not allocated again. A
+// lookup via string(b) compiles to a no-allocation map access.
+func (s *Scanner) Reset(data []byte, common map[string]string) {
+	*s = Scanner{data: data, common: common}
+}
+
+// ResetReader prepares s to tokenize r incrementally; common is as for
+// Reset.
+func (s *Scanner) ResetReader(r io.Reader, common map[string]string) {
+	*s = Scanner{src: r, common: common}
+}
+
+// ResetDocument prepares s to tokenize data, a whole XML document, with
+// the checks of document mode.
+func (s *Scanner) ResetDocument(data []byte) { *s = Scanner{data: data, strict: true} }
 
 const (
 	// minRead is the smallest free space grow() will read into; below
@@ -95,8 +107,8 @@ const (
 // grow appends more input from src to data without moving existing
 // bytes (in-flight scans hold absolute offsets into data). It reports
 // whether at least one new byte arrived; false with a nil error means
-// the input is complete (byte mode, or stream EOF).
-func (s *scanner) grow() (bool, error) {
+// the input is complete (byte input, or stream EOF).
+func (s *Scanner) grow() (bool, error) {
 	for s.src != nil {
 		if cap(s.data)-len(s.data) < minRead {
 			newCap := 2 * cap(s.data)
@@ -112,7 +124,7 @@ func (s *scanner) grow() (bool, error) {
 		if err != nil {
 			s.src = nil
 			if err != io.EOF {
-				s.srcErr = fmt.Errorf("soap: reading envelope: %w", err)
+				s.srcErr = fmt.Errorf("xml: reading input: %w", err)
 			}
 		}
 		if n > 0 {
@@ -126,7 +138,7 @@ func (s *scanner) grow() (bool, error) {
 // called between tokens (the previous token's name/attr values are
 // copied strings; its text bytes are dead by contract) and only in
 // stream mode, once the consumed prefix is worth reclaiming.
-func (s *scanner) compact() {
+func (s *Scanner) compact() {
 	if s.src == nil || s.pos == 0 {
 		return
 	}
@@ -142,36 +154,8 @@ func (s *scanner) compact() {
 	}
 }
 
-// internTable holds the names the XRPC envelope grammar uses with the
-// prefixes our encoder emits, plus the common xsi:type values — the
-// strings a well-formed message repeats per call. Lookup via string(b)
-// compiles to a no-allocation map access.
-var internTable = map[string]string{}
-
-func init() {
-	for _, s := range []string{
-		"env:Envelope", "env:Body", "env:Fault", "env:Code", "env:Value",
-		"env:Reason", "env:Text",
-		"xrpc:request", "xrpc:response", "xrpc:call", "xrpc:sequence",
-		"xrpc:atomic-value", "xrpc:element", "xrpc:document",
-		"xrpc:attribute", "xrpc:text", "xrpc:comment", "xrpc:pi",
-		"xrpc:queryID", "xrpc:participatingPeers", "xrpc:peer",
-		"xrpc:module", "xrpc:method", "xrpc:arity", "xrpc:location",
-		"xrpc:updCall", "xrpc:seqNr", "xrpc:host", "xrpc:timestamp",
-		"xrpc:timeout", "xrpc:nodeid", "xrpc:target",
-		"xsi:type", "xsi:schemaLocation",
-		"xmlns:xrpc", "xmlns:env", "xmlns:xs", "xmlns:xsi", "xml:lang",
-		"uri", "en", "true", "false",
-		"xs:string", "xs:integer", "xs:decimal", "xs:double",
-		"xs:boolean", "xs:untypedAtomic",
-		NSEnv, NSXRPC, NSXS, NSXSI, SchemaLoc,
-	} {
-		internTable[s] = s
-	}
-}
-
-func (s *scanner) intern(b []byte) string {
-	if v, ok := internTable[string(b)]; ok {
+func (s *Scanner) intern(b []byte) string {
+	if v, ok := s.common[string(b)]; ok {
 		return v
 	}
 	if v, ok := s.names[string(b)]; ok {
@@ -185,25 +169,46 @@ func (s *scanner) intern(b []byte) string {
 	return v
 }
 
-func (s *scanner) errf(format string, args ...any) error {
-	return fmt.Errorf("soap: malformed envelope: "+format, args...)
+// checkedName interns an element or attribute name in document mode,
+// where a name is checked the first time the table sees it.
+func (s *Scanner) checkedName(b []byte) (string, error) {
+	if v, ok := s.names[string(b)]; ok {
+		return v, nil
+	}
+	if !isQName(b) {
+		return "", s.errf("invalid XML name %q", b)
+	}
+	if s.names == nil {
+		s.names = make(map[string]string, 64)
+	}
+	v := string(b)
+	s.names[v] = v
+	return v, nil
 }
 
-// next advances to the next token. Iterative over skipped directives: a
+func (s *Scanner) errf(format string, args ...any) error {
+	if s.strict {
+		line := 1 + bytes.Count(s.data[:s.pos], []byte{'\n'})
+		return fmt.Errorf("xml: line %d: "+format, append([]any{line}, args...)...)
+	}
+	return fmt.Errorf("xml: "+format, args...)
+}
+
+// Next advances to the next token. Iterative over skipped directives: a
 // run of millions of <!...> directives must not consume stack.
-func (s *scanner) next() (tokenKind, error) {
+func (s *Scanner) Next() (Kind, error) {
 	s.compact()
 	for {
 		for s.pos >= len(s.data) {
 			ok, err := s.grow()
 			if err != nil {
-				return tokEOF, err
+				return EOF, err
 			}
 			if !ok {
-				if s.depth > 0 {
-					return tokEOF, s.errf("%d unclosed element(s)", s.depth)
+				if s.Depth > 0 {
+					return EOF, s.errf("%d unclosed element(s)", s.Depth)
 				}
-				return tokEOF, nil
+				return EOF, nil
 			}
 		}
 		if s.data[s.pos] != '<' {
@@ -213,13 +218,13 @@ func (s *scanner) next() (tokenKind, error) {
 		// lookahead; refill until they arrive or the input ends short.
 		for s.src != nil && s.pos+9 > len(s.data) {
 			if ok, err := s.grow(); err != nil {
-				return tokEOF, err
+				return EOF, err
 			} else if !ok {
 				break
 			}
 		}
 		if s.pos+1 >= len(s.data) {
-			return tokEOF, s.errf("unexpected EOF after '<'")
+			return EOF, s.errf("unexpected EOF after '<'")
 		}
 		switch s.data[s.pos+1] {
 		case '/':
@@ -232,10 +237,15 @@ func (s *scanner) next() (tokenKind, error) {
 			if bytes.HasPrefix(rest, markCDATAStart) {
 				return s.scanCDATA()
 			}
-			// DOCTYPE and other directives: skip, like the reference
-			// parser
-			if err := s.skipDirective(); err != nil {
-				return tokEOF, err
+			// DOCTYPE and other directives are skipped
+			var err error
+			if s.strict {
+				err = s.skipDirectiveStrict()
+			} else {
+				err = s.skipDirective()
+			}
+			if err != nil {
+				return EOF, err
 			}
 		case '?':
 			return s.scanPI()
@@ -253,26 +263,29 @@ var (
 	markPIEnd        = []byte("?>")
 )
 
-func (s *scanner) scanText() (tokenKind, error) {
-	from := s.pos
-	for {
+func (s *Scanner) scanText() (Kind, error) {
+	from, end := s.pos, -1
+	for end < 0 {
 		if i := bytes.IndexByte(s.data[from:], '<'); i >= 0 {
-			end := from + i
-			s.text = s.data[s.pos:end]
-			s.cdata = false
-			s.pos = end
-			return tokText, nil
+			end = from + i
+			break
 		}
 		from = len(s.data)
 		if ok, err := s.grow(); err != nil {
-			return tokEOF, err
+			return EOF, err
 		} else if !ok {
-			s.text = s.data[s.pos:]
-			s.cdata = false
-			s.pos = len(s.data)
-			return tokText, nil
+			end = len(s.data)
 		}
 	}
+	s.text = s.data[s.pos:end]
+	s.cdata = false
+	if s.strict {
+		if err := s.checkChars(s.text, true); err != nil {
+			return EOF, err
+		}
+	}
+	s.pos = end
+	return Text, nil
 }
 
 func isNameByte(c byte) bool {
@@ -296,7 +309,15 @@ func skipWS(data []byte, i int) int {
 }
 
 // nameEnd advances i past name bytes, refilling at the buffer edge.
-func (s *scanner) nameEnd(i int) (int, error) {
+// Document mode delimits names the way encoding/xml does: by any ASCII
+// byte that cannot occur in a name.
+func (s *Scanner) nameEnd(i int) (int, error) {
+	if s.strict {
+		for i < len(s.data) && xmlNameByte[s.data[i]] {
+			i++
+		}
+		return i, nil
+	}
 	for {
 		for i < len(s.data) && isNameByte(s.data[i]) {
 			i++
@@ -313,7 +334,7 @@ func (s *scanner) nameEnd(i int) (int, error) {
 }
 
 // wsEnd advances i past whitespace, refilling at the buffer edge.
-func (s *scanner) wsEnd(i int) (int, error) {
+func (s *Scanner) wsEnd(i int) (int, error) {
 	for {
 		i = skipWS(s.data, i)
 		if i < len(s.data) {
@@ -331,7 +352,7 @@ func (s *scanner) wsEnd(i int) (int, error) {
 // -1 when the input ends first. The resume offset backs up
 // len(marker)-1 bytes so a marker split across reads is still found
 // without rescanning the whole window.
-func (s *scanner) find(start int, marker []byte) (int, error) {
+func (s *Scanner) find(start int, marker []byte) (int, error) {
 	from := start
 	for {
 		if i := bytes.Index(s.data[from:], marker); i >= 0 {
@@ -349,64 +370,73 @@ func (s *scanner) find(start int, marker []byte) (int, error) {
 	}
 }
 
-func (s *scanner) scanStartTag() (tokenKind, error) {
+func (s *Scanner) scanStartTag() (Kind, error) {
 	start := s.pos + 1
 	i, err := s.nameEnd(start)
 	if err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if i == start {
-		return tokEOF, s.errf("malformed start tag at offset %d", s.pos)
+		return EOF, s.errf("malformed start tag at offset %d", s.pos)
 	}
-	s.name = s.intern(s.data[start:i])
-	s.attrs = s.attrs[:0]
-	s.selfClose = false
+	if !s.strict {
+		s.Name = s.intern(s.data[start:i])
+	} else if s.Name, err = s.checkedName(s.data[start:i]); err != nil {
+		return EOF, err
+	}
+	s.Attrs = s.Attrs[:0]
+	s.SelfClose = false
 	for {
 		if i, err = s.wsEnd(i); err != nil {
-			return tokEOF, err
+			return EOF, err
 		}
 		if i >= len(s.data) {
-			return tokEOF, s.errf("unterminated start tag <%s", s.name)
+			return EOF, s.errf("unterminated start tag <%s", s.Name)
 		}
 		switch s.data[i] {
 		case '>':
 			s.pos = i + 1
-			s.depth++
-			return tokStart, nil
+			s.Depth++
+			return Start, nil
 		case '/':
 			for i+1 >= len(s.data) {
 				if ok, err := s.grow(); err != nil {
-					return tokEOF, err
+					return EOF, err
 				} else if !ok {
 					break
 				}
 			}
 			if i+1 >= len(s.data) || s.data[i+1] != '>' {
-				return tokEOF, s.errf("malformed element <%s", s.name)
+				return EOF, s.errf("malformed element <%s", s.Name)
 			}
-			s.selfClose = true
+			s.SelfClose = true
 			s.pos = i + 2
-			return tokStart, nil
+			return Start, nil
 		}
 		as := i
 		if i, err = s.nameEnd(i); err != nil {
-			return tokEOF, err
+			return EOF, err
 		}
 		if i == as {
-			return tokEOF, s.errf("malformed attribute in <%s>", s.name)
+			return EOF, s.errf("malformed attribute in <%s>", s.Name)
 		}
-		aname := s.intern(s.data[as:i])
+		var aname string
+		if !s.strict {
+			aname = s.intern(s.data[as:i])
+		} else if aname, err = s.checkedName(s.data[as:i]); err != nil {
+			return EOF, err
+		}
 		if i, err = s.wsEnd(i); err != nil {
-			return tokEOF, err
+			return EOF, err
 		}
 		if i >= len(s.data) || s.data[i] != '=' {
-			return tokEOF, s.errf("attribute %s in <%s> has no value", aname, s.name)
+			return EOF, s.errf("attribute %s in <%s> has no value", aname, s.Name)
 		}
 		if i, err = s.wsEnd(i + 1); err != nil {
-			return tokEOF, err
+			return EOF, err
 		}
 		if i >= len(s.data) || (s.data[i] != '"' && s.data[i] != '\'') {
-			return tokEOF, s.errf("unquoted value for attribute %s in <%s>", aname, s.name)
+			return EOF, s.errf("unquoted value for attribute %s in <%s>", aname, s.Name)
 		}
 		quote := s.data[i]
 		i++
@@ -418,25 +448,33 @@ func (s *scanner) scanStartTag() (tokenKind, error) {
 			}
 			i = len(s.data)
 			if ok, err := s.grow(); err != nil {
-				return tokEOF, err
+				return EOF, err
 			} else if !ok {
-				return tokEOF, s.errf("unterminated value for attribute %s in <%s>", aname, s.name)
+				return EOF, s.errf("unterminated value for attribute %s in <%s>", aname, s.Name)
 			}
 		}
 		val, err := s.attrValue(s.data[vs:i])
 		if err != nil {
-			return tokEOF, err
+			return EOF, err
 		}
-		s.attrs = append(s.attrs, scanAttr{name: aname, value: val})
+		s.Attrs = append(s.Attrs, Attr{Name: aname, Value: val})
 		i++
 	}
 }
 
 // attrValue unescapes an attribute value, interning the common constant
 // values (type names, namespace URIs).
-func (s *scanner) attrValue(raw []byte) (string, error) {
+func (s *Scanner) attrValue(raw []byte) (string, error) {
+	if s.strict {
+		if bytes.IndexByte(raw, '<') >= 0 {
+			return "", s.errf("unescaped < inside attribute value")
+		}
+		if err := s.checkChars(raw, false); err != nil {
+			return "", err
+		}
+	}
 	if bytes.IndexByte(raw, '&') < 0 && bytes.IndexByte(raw, '\r') < 0 {
-		if v, ok := internTable[string(raw)]; ok {
+		if v, ok := s.common[string(raw)]; ok {
 			return v, nil
 		}
 		return string(raw), nil
@@ -448,100 +486,133 @@ func (s *scanner) attrValue(raw []byte) (string, error) {
 	return string(out), nil
 }
 
-func (s *scanner) scanEndTag() (tokenKind, error) {
+func (s *Scanner) scanEndTag() (Kind, error) {
 	start := s.pos + 2
 	i, err := s.nameEnd(start)
 	if err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if i == start {
-		return tokEOF, s.errf("malformed end tag at offset %d", s.pos)
+		return EOF, s.errf("malformed end tag at offset %d", s.pos)
 	}
-	s.name = s.intern(s.data[start:i])
+	if !s.strict {
+		s.Name = s.intern(s.data[start:i])
+	} else if s.Name, err = s.checkedName(s.data[start:i]); err != nil {
+		return EOF, err
+	}
 	if i, err = s.wsEnd(i); err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if i >= len(s.data) || s.data[i] != '>' {
-		return tokEOF, s.errf("malformed end tag </%s", s.name)
+		return EOF, s.errf("malformed end tag </%s", s.Name)
 	}
 	s.pos = i + 1
-	if s.depth == 0 {
-		return tokEOF, s.errf("unbalanced end tag </%s>", s.name)
+	if s.Depth == 0 {
+		return EOF, s.errf("unbalanced end tag </%s>", s.Name)
 	}
-	s.depth--
-	return tokEnd, nil
+	s.Depth--
+	return End, nil
 }
 
-func (s *scanner) scanComment() (tokenKind, error) {
+func (s *Scanner) scanComment() (Kind, error) {
 	start := s.pos + len("<!--")
-	end, err := s.find(start, markCommentEnd)
+	var end int
+	var err error
+	if s.strict {
+		end, err = s.commentEndStrict(start)
+	} else {
+		end, err = s.find(start, markCommentEnd)
+	}
 	if err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if end < 0 {
-		return tokEOF, s.errf("unterminated comment")
+		return EOF, s.errf("unterminated comment")
 	}
 	s.text = s.data[start:end]
 	s.cdata = true // comments get no entity expansion
+	s.verbatim = s.strict
 	s.pos = end + len("-->")
-	return tokComment, nil
+	return Comment, nil
 }
 
-func (s *scanner) scanCDATA() (tokenKind, error) {
+func (s *Scanner) scanCDATA() (Kind, error) {
 	start := s.pos + len("<![CDATA[")
 	end, err := s.find(start, markCDATAEnd)
 	if err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if end < 0 {
-		return tokEOF, s.errf("unterminated CDATA section")
+		return EOF, s.errf("unterminated CDATA section")
 	}
 	s.text = s.data[start:end]
-	s.cdata = true
+	if s.strict {
+		if err := s.checkChars(s.text, false); err != nil {
+			return EOF, err
+		}
+	}
+	s.cdata, s.verbatim = true, false
 	s.pos = end + len("]]>")
-	return tokText, nil
+	return Text, nil
 }
 
-func (s *scanner) scanPI() (tokenKind, error) {
+func (s *Scanner) scanPI() (Kind, error) {
 	start := s.pos + 2
 	i := start
-	for {
-		for i < len(s.data) && isNameByte(s.data[i]) && s.data[i] != '?' {
-			i++
-		}
-		if i < len(s.data) {
-			break
-		}
-		if ok, err := s.grow(); err != nil {
-			return tokEOF, err
-		} else if !ok {
-			break
+	if s.strict {
+		i, _ = s.nameEnd(start)
+	} else {
+		for {
+			for i < len(s.data) && isNameByte(s.data[i]) && s.data[i] != '?' {
+				i++
+			}
+			if i < len(s.data) {
+				break
+			}
+			if ok, err := s.grow(); err != nil {
+				return EOF, err
+			} else if !ok {
+				break
+			}
 		}
 	}
 	if i == start {
-		return tokEOF, s.errf("processing instruction without a target")
+		return EOF, s.errf("processing instruction without a target")
 	}
-	s.name = s.intern(s.data[start:i])
+	if s.strict {
+		if !isName(s.data[start:i]) {
+			return EOF, s.errf("invalid processing instruction target %q", s.data[start:i])
+		}
+		s.Name = string(s.data[start:i])
+	} else {
+		s.Name = s.intern(s.data[start:i])
+	}
 	var err error
 	if i, err = s.wsEnd(i); err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	end, err := s.find(i, markPIEnd)
 	if err != nil {
-		return tokEOF, err
+		return EOF, err
 	}
 	if end < 0 {
-		return tokEOF, s.errf("unterminated processing instruction <?%s", s.name)
+		return EOF, s.errf("unterminated processing instruction <?%s", s.Name)
 	}
 	s.text = s.data[i:end]
 	s.cdata = true
+	s.verbatim = s.strict
+	if s.strict && s.Name == "xml" {
+		if err := s.checkDecl(s.text); err != nil {
+			return EOF, err
+		}
+	}
 	s.pos = end + len("?>")
-	return tokPI, nil
+	return PI, nil
 }
 
 // skipDirective consumes a <!DOCTYPE ...> (or any <!...>) directive,
 // tolerating an internal subset in brackets and quoted strings.
-func (s *scanner) skipDirective() error {
+func (s *Scanner) skipDirective() error {
 	i := s.pos + 2
 	bracket := 0
 	var quote byte
@@ -578,14 +649,17 @@ func (s *scanner) skipDirective() error {
 // recur across calls; long payloads do not.
 const maxInternedText = 32
 
-// textValue returns the current text token as a string, expanding
-// entities and normalizing line endings; the single place raw bytes
-// become a kept Go string. Short clean values are interned — a bulk
-// request repeats the same parameter texts across its calls.
-func (s *scanner) textValue() (string, error) {
+// TextValue returns the current text, comment or PI token as a string,
+// expanding entities and normalizing line endings; the single place raw
+// bytes become a kept Go string. Outside document mode short clean
+// values are interned — a bulk request repeats the same parameter texts
+// across its calls.
+func (s *Scanner) TextValue() (string, error) {
 	raw := s.text
 	if s.cdata {
-		if bytes.IndexByte(raw, '\r') < 0 {
+		// verbatim tokens only occur in document mode, which interns
+		// nothing, so internText copies them as they are
+		if s.verbatim || bytes.IndexByte(raw, '\r') < 0 {
 			return s.internText(raw), nil
 		}
 		out, _ := s.unescapeNoEntities(make([]byte, 0, len(raw)), raw)
@@ -601,8 +675,10 @@ func (s *scanner) textValue() (string, error) {
 	return string(out), nil
 }
 
-func (s *scanner) internText(raw []byte) string {
-	if len(raw) > maxInternedText {
+// internText interns short texts outside document mode; there the
+// table holds checked names only.
+func (s *Scanner) internText(raw []byte) string {
+	if s.strict || len(raw) > maxInternedText {
 		return string(raw)
 	}
 	return s.intern(raw)
@@ -611,7 +687,7 @@ func (s *scanner) internText(raw []byte) string {
 // unescape expands the five predefined entities and numeric character
 // references, and normalizes \r\n / \r to \n (the XML line-ending rule
 // encoding/xml applies).
-func (s *scanner) unescape(dst, raw []byte) ([]byte, error) {
+func (s *Scanner) unescape(dst, raw []byte) ([]byte, error) {
 	for i := 0; i < len(raw); {
 		switch raw[i] {
 		case '&':
@@ -621,7 +697,13 @@ func (s *scanner) unescape(dst, raw []byte) ([]byte, error) {
 			}
 			ent := raw[i+1 : i+semi]
 			if ent[0] == '#' {
-				r, err := parseCharRef(ent[1:])
+				var r rune
+				var err error
+				if s.strict {
+					r, err = charRefStrict(ent[1:])
+				} else {
+					r, err = parseCharRef(ent[1:])
+				}
 				if err != nil {
 					return nil, s.errf("%v", err)
 				}
@@ -658,7 +740,7 @@ func (s *scanner) unescape(dst, raw []byte) ([]byte, error) {
 }
 
 // unescapeNoEntities only normalizes line endings (CDATA, comments).
-func (s *scanner) unescapeNoEntities(dst, raw []byte) ([]byte, error) {
+func (s *Scanner) unescapeNoEntities(dst, raw []byte) ([]byte, error) {
 	for i := 0; i < len(raw); i++ {
 		if raw[i] == '\r' {
 			if i+1 < len(raw) && raw[i+1] == '\n' {
