@@ -1,7 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-// call deduplication (δ) in the Figure 2 rule, the §4 predicate hash
-// index, and call-by-fragment message compression. Each Benchmark pair
-// measures the system with the mechanism on and off.
+// call deduplication (δ) in the Figure 2 rule, the interpreter's two §4
+// hash paths (the predicate index and the FLWOR hash join), and
+// call-by-fragment message compression. Each Benchmark pair measures
+// the system with the mechanism on and off.
 package xrpc
 
 import (
@@ -72,12 +73,21 @@ func benchPredIndex(b *testing.B, disabled bool) {
 	if err := st.LoadXML("persons.xml", xmark.GeneratePersons(cfg)); err != nil {
 		b.Fatal(err)
 	}
-	eng := interp.New(st, nil, nil)
-	eng.DisablePredIndex = disabled
-	compiled, err := eng.Compile(`
+	benchInterp(b, st, disabled, `
 for $i in (0 to 199)
 let $pid := concat("person", string($i))
 return count(doc("persons.xml")//person[@id=$pid])`)
+}
+
+func BenchmarkAblation_PredIndex_On(b *testing.B)  { benchPredIndex(b, false) }
+func BenchmarkAblation_PredIndex_Off(b *testing.B) { benchPredIndex(b, true) }
+
+// benchInterp times one interpreter evaluation of query over st, with
+// the §4 hash paths on or, when nestedLoops is set, off.
+func benchInterp(b *testing.B, st *store.Store, nestedLoops bool, query string) {
+	eng := interp.New(st, nil, nil)
+	eng.NestedLoops = nestedLoops
+	compiled, err := eng.Compile(query)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,8 +99,43 @@ return count(doc("persons.xml")//person[@id=$pid])`)
 	}
 }
 
-func BenchmarkAblation_PredIndex_On(b *testing.B)  { benchPredIndex(b, false) }
-func BenchmarkAblation_PredIndex_Off(b *testing.B) { benchPredIndex(b, true) }
+// q7Store holds the XMark 0.1 persons.xml and auctions.xml of §5.
+func q7Store(b *testing.B) *store.Store {
+	cfg := xmark.PaperConfig(0.1)
+	st := store.New()
+	if err := st.LoadXML("persons.xml", xmark.GeneratePersons(cfg)); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.LoadXML("auctions.xml", xmark.GenerateAuctions(cfg)); err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// --- ablation 2b: the FLWOR hash join on the Q_B2 shape ---------------
+
+func benchFLWORJoin(b *testing.B, nestedLoops bool) {
+	benchInterp(b, q7Store(b), nestedLoops, `
+for $p in doc("persons.xml")//person,
+    $ca in doc("auctions.xml")//closed_auction
+where $p/@id = $ca/buyer/@person
+return <result>{$p, $ca/annotation}</result>`)
+}
+
+func BenchmarkAblation_FLWORJoin_On(b *testing.B)  { benchFLWORJoin(b, false) }
+func BenchmarkAblation_FLWORJoin_Off(b *testing.B) { benchFLWORJoin(b, true) }
+
+// --- ablation 2c: the predicate index on Q_B3's ./buyer/@person -------
+
+func benchPredIndexDotPath(b *testing.B, nestedLoops bool) {
+	benchInterp(b, q7Store(b), nestedLoops, `
+for $p in doc("persons.xml")//person
+let $pid := string($p/@id)
+return doc("auctions.xml")//closed_auction[./buyer/@person=$pid]`)
+}
+
+func BenchmarkAblation_PredIndexDotPath_On(b *testing.B)  { benchPredIndexDotPath(b, false) }
+func BenchmarkAblation_PredIndexDotPath_Off(b *testing.B) { benchPredIndexDotPath(b, true) }
 
 // --- ablation 3: call-by-fragment compression --------------------------
 

@@ -56,6 +56,20 @@ type Stats struct {
 	Compile   time.Duration
 	TreeBuild time.Duration
 	Exec      time.Duration
+	// Hash counts the §4 hash paths the exec phase took.
+	Hash HashCounts
+}
+
+// HashCounts counts the §4 hash paths one evaluation took instead of a
+// nested loop.
+type HashCounts struct {
+	// FLWORJoins counts value joins (`for $a in A, $b in B where ka =
+	// kb`) evaluated on the hash path: by hashing their keys, or with
+	// no pair formed at all because A or B is empty.
+	FLWORJoins int
+	// PredIndex counts predicates answered from a hash index over their
+	// candidates.
+	PredIndex int
 }
 
 // Total is the sum of the phases.
@@ -78,9 +92,11 @@ type Engine struct {
 	// ByFragment enables the call-by-fragment protocol extension for
 	// outgoing execute-at calls (paper footnote 4).
 	ByFragment bool
-	// DisablePredIndex turns off the §4 predicate hash index (used by
-	// the ablation benchmarks).
-	DisablePredIndex bool
+	// NestedLoops turns off both §4 hash paths, the FLWOR hash join and
+	// the predicate index, so every join runs as the nested loop the
+	// query spells out: the reference for differential tests and the
+	// "off" side of the ablation benchmarks.
+	NestedLoops bool
 	// MaxRecursion bounds user-function recursion depth (default 4096).
 	MaxRecursion int
 }
@@ -280,6 +296,8 @@ type EvalOptions struct {
 	// CollectUpdates, when true, permits update expressions; their
 	// pending update list is returned instead of applied.
 	CollectUpdates bool
+	// Counts, when set, accumulates the hash paths the evaluation took.
+	Counts *HashCounts
 }
 
 // Eval evaluates the main module body. For updating queries the pending
@@ -379,13 +397,17 @@ func (c *Compiled) newDynCtx(opts *EvalOptions) *dynCtx {
 	if opts.RPC != nil {
 		rpc = opts.RPC
 	}
+	counts := opts.Counts
+	if counts == nil {
+		counts = &HashCounts{}
+	}
 	ctx := &dynCtx{
 		c:      c,
 		module: c.main,
 		docs:   docs,
 		rpc:    rpc,
 		pul:    &UpdateList{},
-		memo:   &evalMemo{preds: map[predKey]*predIndex{}},
+		memo:   &evalMemo{counts: counts},
 		maxRec: maxRec,
 	}
 	for name, val := range opts.Vars {

@@ -501,10 +501,9 @@ func (ctx *dynCtx) evalFLWOR(n *xq.FLWOR) (xdm.Sequence, error) {
 	var tuples []tuple
 	ordered := len(n.OrderBy) > 0
 
-	var emit func(ctx *dynCtx) error
-	emit = func(tctx *dynCtx) error {
-		if n.Where != nil {
-			w, err := tctx.eval(n.Where)
+	emit := func(tctx *dynCtx, where xq.Expr) error {
+		if where != nil {
+			w, err := tctx.eval(where)
 			if err != nil {
 				return err
 			}
@@ -545,7 +544,7 @@ func (ctx *dynCtx) evalFLWOR(n *xq.FLWOR) (xdm.Sequence, error) {
 	var runClause func(i int, tctx *dynCtx) error
 	runClause = func(i int, tctx *dynCtx) error {
 		if i == len(n.Clauses) {
-			return emit(tctx)
+			return emit(tctx, n.Where)
 		}
 		switch cl := n.Clauses[i].(type) {
 		case *xq.LetClause:
@@ -561,12 +560,12 @@ func (ctx *dynCtx) evalFLWOR(n *xq.FLWOR) (xdm.Sequence, error) {
 			if err != nil {
 				return err
 			}
-			for idx, it := range seq {
+			if j := tctx.valueJoin(n, i); j != nil {
+				return tctx.evalJoin(j, seq, n.Where, emit)
+			}
+			for idx := range seq {
 				next := tctx.child()
-				next.bind(cl.Var, xdm.Singleton(it))
-				if cl.PosVar != "" {
-					next.bind(cl.PosVar, xdm.Singleton(xdm.Integer(idx+1)))
-				}
+				next.bindFor(cl, seq, idx)
 				if err := runClause(i+1, next); err != nil {
 					return err
 				}

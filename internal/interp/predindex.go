@@ -16,12 +16,13 @@ import (
 //
 // evaluated repeatedly over the same candidate node list (e.g.
 // //person[@id=$pid] probed once per call) builds a hash index over the
-// path's string values once, then answers each probe by lookup.
+// path's string values once, then answers each probe by lookup. The
+// FLWOR form of the same join is in join.go.
 
 // evalMemo holds per-evaluation memoized state, shared by all child
 // contexts of one Eval/CallFunction.
 type evalMemo struct {
-	preds map[predKey]*predIndex
+	preds map[predKey][]*predIndex
 	// steps memoizes axis-step results per (step AST, context node):
 	// trees are immutable during one query evaluation, so a step from
 	// the same context node always yields the same nodes. This is what
@@ -29,6 +30,11 @@ type evalMemo struct {
 	// scanned once, not once per call. Both map levels are keyed by
 	// pointers, which hash cheaply.
 	steps map[*xq.Step]map[*xdm.Node][]*xdm.Node
+	// joins caches, per FLWOR, the value join it ends in when that join
+	// may run hashed (nil: it may not).
+	joins map[*xq.FLWOR]*xq.ValueJoin
+	// counts accumulates the hash paths taken.
+	counts *HashCounts
 }
 
 // memoStep is xdm.Step with memoization keyed by the step's AST node.
@@ -52,24 +58,28 @@ func (ctx *dynCtx) memoStep(st *xq.Step, n *xdm.Node) []*xdm.Node {
 	return out
 }
 
+// predKey narrows the memo to the indexes that may fit a candidate
+// sequence; sameItems decides.
 type predKey struct {
+	pred  xq.Expr  // predicate AST identity
 	first xdm.Item // first candidate (node identity)
-	last  xdm.Item
 	n     int
-	pred  xq.Expr // predicate AST identity
 }
 
 type predIndex struct {
-	ok      bool // false: pattern unusable for this candidate set
+	cands   xdm.Sequence // the candidate sequence indexed
+	ok      bool         // false: pattern unusable for this candidate set
 	byValue map[string][]int
-	rhs     xq.Expr
 }
 
 // tryIndexedPredicate filters seq by pred using a hash index when the
 // predicate has an indexable shape; it returns (result, true) on
 // success, or (nil, false) to fall back to row-at-a-time evaluation.
 func (ctx *dynCtx) tryIndexedPredicate(seq xdm.Sequence, pred xq.Expr) (xdm.Sequence, bool) {
-	if ctx.memo == nil || len(seq) < 16 || ctx.c.engine.DisablePredIndex {
+	if ctx.memo == nil || len(seq) < 16 || ctx.c.engine.NestedLoops {
+		return nil, false
+	}
+	if _, isNode := seq[0].(*xdm.Node); !isNode {
 		return nil, false
 	}
 	cmp, isCmp := pred.(*xq.Comparison)
@@ -86,12 +96,7 @@ func (ctx *dynCtx) tryIndexedPredicate(seq xdm.Sequence, pred xq.Expr) (xdm.Sequ
 	} else {
 		return nil, false
 	}
-	key := predKey{first: seq[0], last: seq[len(seq)-1], n: len(seq), pred: pred}
-	idx, cached := ctx.memo.preds[key]
-	if !cached {
-		idx = ctx.buildPredIndex(seq, keyPath)
-		ctx.memo.preds[key] = idx
-	}
+	idx := ctx.predIndexFor(seq, pred, keyPath)
 	if !idx.ok {
 		return nil, false
 	}
@@ -120,13 +125,46 @@ func (ctx *dynCtx) tryIndexedPredicate(seq xdm.Sequence, pred xq.Expr) (xdm.Sequ
 			out = append(out, it)
 		}
 	}
+	ctx.memo.counts.PredIndex++
 	return out, true
+}
+
+// predIndexFor returns the index of pred's key path over seq, building
+// it on first use. An index is reused only for the very candidate
+// sequence it was built for: the same items in the same order.
+func (ctx *dynCtx) predIndexFor(seq xdm.Sequence, pred xq.Expr, keyPath *xq.Path) *predIndex {
+	key := predKey{pred: pred, first: seq[0], n: len(seq)}
+	for _, idx := range ctx.memo.preds[key] {
+		if sameItems(idx.cands, seq) {
+			return idx
+		}
+	}
+	idx := ctx.buildPredIndex(seq, keyPath)
+	if ctx.memo.preds == nil {
+		ctx.memo.preds = map[predKey][]*predIndex{}
+	}
+	ctx.memo.preds[key] = append(ctx.memo.preds[key], idx)
+	return idx
+}
+
+// sameItems reports whether a and b hold identical items in the same
+// order (nodes by identity).
+func sameItems(a, b xdm.Sequence) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // buildPredIndex evaluates the key path for every candidate and hashes
 // candidates by the key's string value.
 func (ctx *dynCtx) buildPredIndex(seq xdm.Sequence, keyPath *xq.Path) *predIndex {
-	idx := &predIndex{byValue: map[string][]int{}}
+	idx := &predIndex{cands: append(xdm.Sequence(nil), seq...), byValue: map[string][]int{}}
 	for i, it := range seq {
 		if _, isNode := it.(*xdm.Node); !isNode {
 			return idx // not a node candidate set
@@ -154,8 +192,9 @@ func (ctx *dynCtx) buildPredIndex(seq xdm.Sequence, keyPath *xq.Path) *predIndex
 
 // purePath reports whether p is a relative path over downward/attribute
 // axes with no predicates — safe to evaluate per candidate and index.
+// A path rooted at the context item (./a/b) is the relative path a/b.
 func purePath(p *xq.Path) bool {
-	if p.Root != nil || p.FromRoot || len(p.RootPreds) > 0 {
+	if _, dot := p.Root.(*xq.ContextItem); (p.Root != nil && !dot) || p.FromRoot || len(p.RootPreds) > 0 {
 		return false
 	}
 	for _, st := range p.Steps {

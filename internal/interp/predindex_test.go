@@ -35,7 +35,7 @@ let $pid := concat("p", string($i))
 return count(doc("people.xml")//person[@id=$pid])`
 	run := func(disable bool) string {
 		e := New(st, nil, nil)
-		e.DisablePredIndex = disable
+		e.NestedLoops = disable
 		c, err := e.Compile(query)
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestPredIndexSkipsContextDependent(t *testing.T) {
 }
 
 func TestPurePathClassification(t *testing.T) {
-	pure := []string{`@id`, `buyer/@person`, `name`}
+	pure := []string{`@id`, `buyer/@person`, `name`, `./buyer/@person`, `./@id`}
 	impure := []string{`../x`, `doc("d")//x`, `a[1]/b`}
 	for _, src := range pure {
 		e, err := xq.ParseExpr(src)

@@ -827,10 +827,10 @@ func (env *staticEnv) compileClauses(fl *xq.FLWOR, i int) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if j := recognizeJoin(fl, i); j != nil {
+		if j := xq.RecognizeJoin(fl, i); j != nil {
 			return env.compileJoin(fl, j, inPlan)
 		}
-		rest, err := env.withVar(forVars(cl)...).compileClauses(fl, i+1)
+		rest, err := env.withVar(cl.Vars()...).compileClauses(fl, i+1)
 		if err != nil {
 			return nil, err
 		}

@@ -291,7 +291,7 @@ func (g *qgen) dropVar() {
 // one of them (same result or both erroring).
 func TestDifferentialEngines(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
+	refEngine := nestedLoopEngine(f)
 	const n = 400
 	skipped := 0
 	for seed := 0; seed < n; seed++ {
@@ -331,13 +331,32 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialJoins runs the join shapes on both engines: results
-// must agree byte for byte and errors must carry the same code, whether
-// the pair is evaluated as a hash join or falls back to every pair.
+// nestedLoopEngine is the reference interpreter: every join runs as
+// the nested loop the query spells out.
+func nestedLoopEngine(f *fixture) *interp.Engine {
+	e := interp.New(f.st, f.reg, nil)
+	e.NestedLoops = true
+	return e
+}
+
+// TestDifferentialJoins runs the join shapes on three engines:
+// pathfinder, the default interpreter and the nested-loop interpreter.
+// Results must agree byte for byte and errors must carry the same code,
+// whether a pair is evaluated as a hash join or falls back to every
+// pair. Both hashing engines must take the hash join on at least a
+// quarter of the shapes.
 func TestDifferentialJoins(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
-	joined := 0
+	hashed, nested := interp.New(f.st, f.reg, nil), nestedLoopEngine(f)
+	evalInterp := func(e *interp.Engine, query string, counts *interp.HashCounts) (xdm.Sequence, error) {
+		c, err := e.Compile(query)
+		if err != nil {
+			return nil, err
+		}
+		seq, _, err := c.Eval(&interp.EvalOptions{Counts: counts})
+		return seq, err
+	}
+	pfJoined, interpJoined := 0, 0
 	for seed := 0; seed < 1000; seed++ {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
 		query := g.join()
@@ -347,31 +366,43 @@ func TestDifferentialJoins(t *testing.T) {
 		if pfErr == nil {
 			pfSeq, pfErr = pfc.Eval(ec, nil)
 		}
-		joined += ec.hashJoins
-		ic, iErr := refEngine.Compile(query)
-		var iSeq xdm.Sequence
-		if iErr == nil {
-			iSeq, _, iErr = ic.Eval(nil)
+		pfJoined += ec.hashJoins
+		var counts interp.HashCounts
+		hSeq, hErr := evalInterp(hashed, query, &counts)
+		if counts.FLWORJoins > 0 {
+			interpJoined++
 		}
-		switch {
-		case pfErr == nil && iErr == nil:
-			got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq)
-			if got != want {
-				t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s",
-					seed, query, got, want)
-			}
-		case pfErr != nil && iErr != nil:
-			if errCode(pfErr) != errCode(iErr) {
-				t.Fatalf("seed %d: error codes differ\nquery: %s\npathfinder err: %v\ninterp err:     %v",
-					seed, query, pfErr, iErr)
-			}
-		default:
-			t.Fatalf("seed %d: one engine errored\nquery: %s\npathfinder err: %v\ninterp err:     %v",
-				seed, query, pfErr, iErr)
-		}
+		nSeq, nErr := evalInterp(nested, query, nil)
+		agree(t, seed, query, "pathfinder", pfSeq, pfErr, nSeq, nErr)
+		agree(t, seed, query, "hash-join interp", hSeq, hErr, nSeq, nErr)
 	}
-	if joined < 250 {
-		t.Errorf("only %d of 1000 generated joins ran as hash joins", joined)
+	if pfJoined < 250 {
+		t.Errorf("only %d of 1000 generated joins ran as pathfinder hash joins", pfJoined)
+	}
+	if interpJoined < 250 {
+		t.Errorf("only %d of 1000 generated joins ran as interpreter hash joins", interpJoined)
+	}
+}
+
+// agree fails the test unless an engine's outcome matches the
+// nested-loop interpreter's: the same serialized result, or errors with
+// the same code.
+func agree(t *testing.T, seed int, query, name string, seq xdm.Sequence, err error, want xdm.Sequence, wantErr error) {
+	t.Helper()
+	switch {
+	case err == nil && wantErr == nil:
+		if got, w := xdm.SerializeSequence(seq), xdm.SerializeSequence(want); got != w {
+			t.Fatalf("seed %d: %s disagrees with the nested loop\nquery: %s\n%s: %s\nnested: %s",
+				seed, name, query, name, got, w)
+		}
+	case err != nil && wantErr != nil:
+		if errCode(err) != errCode(wantErr) {
+			t.Fatalf("seed %d: error codes differ\nquery: %s\n%s err: %v\nnested err: %v",
+				seed, query, name, err, wantErr)
+		}
+	default:
+		t.Fatalf("seed %d: one engine errored\nquery: %s\n%s err: %v\nnested err: %v",
+			seed, query, name, err, wantErr)
 	}
 }
 

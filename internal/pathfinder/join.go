@@ -8,194 +8,6 @@ import (
 	"xrpc/internal/xq"
 )
 
-// valueJoin is a recognized value join: `for $a in A, $b in B where
-// ka = kb and … return R`, with ka over $a only and kb over $b only.
-type valueJoin struct {
-	a, b       *xq.ForClause
-	keyA, keyB xq.Expr
-	rest       xq.Expr // the where's other conjuncts; nil when none
-}
-
-// recognizeJoin reports whether clauses i and i+1 of fl form a value
-// join: they are the FLWOR's last two clauses, both for clauses, B does
-// not refer to the first clause's variables, and the leftmost conjunct
-// of the where is a general `=` between a side over the first clause's
-// variables only and a side over the second's only. Only the leftmost
-// conjunct qualifies: the interpreter's `and` evaluates from the left,
-// so only that conjunct runs for every pair, and filtering the pairs on
-// it first raises the same errors.
-func recognizeJoin(fl *xq.FLWOR, i int) *valueJoin {
-	if fl.Where == nil || i != len(fl.Clauses)-2 {
-		return nil
-	}
-	a, okA := fl.Clauses[i].(*xq.ForClause)
-	b, okB := fl.Clauses[i+1].(*xq.ForClause)
-	if !okA || !okB {
-		return nil
-	}
-	varsA, varsB := forVars(a), forVars(b)
-	for _, v := range varsA {
-		for _, w := range varsB {
-			if v == w {
-				return nil // a name bound twice: references are ambiguous
-			}
-		}
-	}
-	if refsVar(b.In, varsA) {
-		return nil
-	}
-	conj := conjuncts(fl.Where, nil)
-	c, ok := conj[0].(*xq.Comparison)
-	if !ok || !c.General || c.Op != "=" {
-		return nil
-	}
-	j := &valueJoin{a: a, b: b}
-	switch {
-	case onlyOver(c.L, varsA, varsB) && onlyOver(c.R, varsB, varsA):
-		j.keyA, j.keyB = c.L, c.R
-	case onlyOver(c.R, varsA, varsB) && onlyOver(c.L, varsB, varsA):
-		j.keyA, j.keyB = c.R, c.L
-	default:
-		return nil
-	}
-	for _, c := range conj[1:] {
-		if j.rest == nil {
-			j.rest = c
-		} else {
-			j.rest = &xq.Logic{Op: "and", L: j.rest, R: c}
-		}
-	}
-	return j
-}
-
-// forVars lists the variables a for clause binds.
-func forVars(f *xq.ForClause) []string {
-	if f.PosVar == "" {
-		return []string{f.Var}
-	}
-	return []string{f.Var, f.PosVar}
-}
-
-// onlyOver reports whether e refers to its own clause's variables and
-// to none of the other clause's.
-func onlyOver(e xq.Expr, own, other []string) bool {
-	return refsVar(e, own) && !refsVar(e, other)
-}
-
-// refsVar reports whether e refers to any of the named variables. It
-// ignores shadowing by inner bindings, so it may answer true where the
-// reference is to another variable of the same name: conservative for
-// join recognition.
-func refsVar(e xq.Expr, names []string) bool {
-	if v, ok := e.(*xq.VarRef); ok {
-		for _, n := range names {
-			if v.Name == n {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range subExprs(e) {
-		if refsVar(c, names) {
-			return true
-		}
-	}
-	return false
-}
-
-// subExprs lists the direct subexpressions of e.
-func subExprs(e xq.Expr) []xq.Expr {
-	var out []xq.Expr
-	add := func(xs ...xq.Expr) {
-		for _, x := range xs {
-			if x != nil {
-				out = append(out, x)
-			}
-		}
-	}
-	switch x := e.(type) {
-	case *xq.SeqExpr:
-		add(x.Items...)
-	case *xq.RangeExpr:
-		add(x.Lo, x.Hi)
-	case *xq.Arith:
-		add(x.L, x.R)
-	case *xq.Unary:
-		add(x.X)
-	case *xq.Comparison:
-		add(x.L, x.R)
-	case *xq.Logic:
-		add(x.L, x.R)
-	case *xq.UnionExpr:
-		add(x.L, x.R)
-	case *xq.If:
-		add(x.Cond, x.Then, x.Else)
-	case *xq.FLWOR:
-		for _, cl := range x.Clauses {
-			switch c := cl.(type) {
-			case *xq.ForClause:
-				add(c.In)
-			case *xq.LetClause:
-				add(c.Val)
-			}
-		}
-		add(x.Where)
-		for _, o := range x.OrderBy {
-			add(o.Key)
-		}
-		add(x.Return)
-	case *xq.Quantified:
-		add(x.In, x.Satisfies)
-	case *xq.Path:
-		add(x.Root)
-		add(x.RootPreds...)
-		for _, s := range x.Steps {
-			add(s.Preds...)
-		}
-	case *xq.FuncCall:
-		add(x.Args...)
-	case *xq.ExecuteAt:
-		add(x.Dest)
-		if x.Call != nil {
-			add(x.Call)
-		}
-	case *xq.DirElem:
-		for _, a := range x.Attrs {
-			add(a.Value...)
-		}
-		add(x.Content...)
-	case *xq.Enclosed:
-		add(x.X)
-	case *xq.CompElem:
-		add(x.Name, x.Content)
-	case *xq.CompAttr:
-		add(x.Name, x.Value)
-	case *xq.CompText:
-		add(x.Val)
-	case *xq.Typeswitch:
-		add(x.Operand)
-		for _, c := range x.Cases {
-			add(c.Ret)
-		}
-		add(x.Default)
-	case *xq.Cast:
-		add(x.X)
-	case *xq.Castable:
-		add(x.X)
-	case *xq.InstanceOf:
-		add(x.X)
-	case *xq.Insert:
-		add(x.Source, x.Target)
-	case *xq.Delete:
-		add(x.Target)
-	case *xq.Replace:
-		add(x.Target, x.Source)
-	case *xq.Rename:
-		add(x.Target, x.NewName)
-	}
-	return out
-}
-
 // compileJoin compiles a recognized value join. At run time A and B are
 // each evaluated once in the enclosing loop, and each key once per
 // binding of its own variable. When every key atomizes to xs:string or
@@ -206,21 +18,21 @@ func subExprs(e xq.Expr) []xq.Expr {
 // same outer iteration is formed and the whole where runs per pair, as
 // nested for clauses would. Either way the pairs come in nested-loop
 // order and form the inner loop of the return clause.
-func (env *staticEnv) compileJoin(fl *xq.FLWOR, j *valueJoin, inA Plan) (Plan, error) {
-	inB, err := env.compile(j.b.In)
+func (env *staticEnv) compileJoin(fl *xq.FLWOR, j *xq.ValueJoin, inA Plan) (Plan, error) {
+	inB, err := env.compile(j.B.In)
 	if err != nil {
 		return nil, err
 	}
-	keyA, err := env.withVar(forVars(j.a)...).compile(j.keyA)
+	keyA, err := env.withVar(j.A.Vars()...).compile(j.KeyA)
 	if err != nil {
 		return nil, err
 	}
-	keyB, err := env.withVar(forVars(j.b)...).compile(j.keyB)
+	keyB, err := env.withVar(j.B.Vars()...).compile(j.KeyB)
 	if err != nil {
 		return nil, err
 	}
-	envAB := env.withVar(append(forVars(j.a), forVars(j.b)...)...)
-	matched, err := envAB.compileClauses(&xq.FLWOR{Where: j.rest, Return: fl.Return}, 0)
+	envAB := env.withVar(append(j.A.Vars(), j.B.Vars()...)...)
+	matched, err := envAB.compileClauses(&xq.FLWOR{Where: j.Rest, Return: fl.Return}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +40,7 @@ func (env *staticEnv) compileJoin(fl *xq.FLWOR, j *valueJoin, inA Plan) (Plan, e
 	if err != nil {
 		return nil, err
 	}
-	a, b := j.a, j.b
+	a, b := j.A, j.B
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		qa, err := inA(ec, sc)
 		if err != nil {

@@ -268,14 +268,6 @@ func (d *deriver) keyCompare(e xq.Expr, shadow map[string]bool) (attr, op, param
 	return "", "", "", false
 }
 
-// conjuncts flattens an and-chain.
-func conjuncts(e xq.Expr, out []xq.Expr) []xq.Expr {
-	if l, ok := e.(*xq.Logic); ok && l.Op == "and" {
-		return conjuncts(l.R, conjuncts(l.L, out))
-	}
-	return append(out, e)
-}
-
 // pathSig scans a doc-rooted path for a keyed step and returns its
 // signature. The signature records where the keyed container sits: the
 // rooted child-step chain when the path never used a descendant axis,
@@ -305,7 +297,7 @@ func (d *deriver) pathSig(p *xq.Path, shadow map[string]bool) (keySig, bool) {
 			return keySig{}, false
 		}
 		for _, pred := range s.Preds {
-			for _, cj := range conjuncts(pred, nil) {
+			for _, cj := range xq.Conjuncts(pred, nil) {
 				if attr, op, param, ok := d.keyCompare(cj, shadow); ok {
 					suffix := strings.Join(names, "/")
 					if rooted {
@@ -374,7 +366,7 @@ func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
 				d.sigs = append(d.sigs, sig)
 			}
 		}
-		for _, c := range subExprs(e) {
+		for _, c := range xq.SubExprs(e) {
 			d.collect(c, shadow)
 		}
 	}

@@ -440,15 +440,6 @@ func EncodeFault(f *Fault) []byte {
 	return out
 }
 
-// EncodeRequestTo streams the request envelope to w in chunks.
-func EncodeRequestTo(w io.Writer, r *Request) error {
-	e := NewStreamEncoder(w, 0)
-	e.EncodeRequest(r)
-	err := e.Flush()
-	e.Release()
-	return err
-}
-
 // EncodeResponseTo streams the response envelope to w in chunks: the
 // same bytes EncodeResponse produces, without ever materializing them.
 func EncodeResponseTo(w io.Writer, r *Response) error {

@@ -27,18 +27,6 @@ func DecodeStream(r io.Reader) (*Message, error) {
 	return d.decodeMessage()
 }
 
-// DecodeRequestStream parses and requires a request message from r.
-func DecodeRequestStream(r io.Reader) (*Request, error) {
-	m, err := DecodeStream(r)
-	if err != nil {
-		return nil, err
-	}
-	if m.Request == nil {
-		return nil, fmt.Errorf("soap: message is not a request")
-	}
-	return m.Request, nil
-}
-
 // DecodeResponseStream parses a response message from r, converting
 // faults into *Fault errors. For item-at-a-time consumption use
 // NewResponseStream instead.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"xrpc/internal/interp"
 	"xrpc/internal/netsim"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
@@ -60,6 +61,44 @@ func TestAllStrategiesAgree(t *testing.T) {
 			if len(persons) != 1 || len(annos) != 1 {
 				t.Fatalf("result shape: %d persons, %d annotations", len(persons), len(annos))
 			}
+		}
+	}
+}
+
+// TestPeerBTakesHashPaths: the wrapped peer B runs both Q7 joins the
+// way §4 says Saxon does, on hash tables. Relocation's Q_B2 is one FLWOR
+// hash join, and each of the semi-join's per-person Q_B3 calls is
+// answered from the predicate index. Counts, not times, prove it; the
+// four rewrites still return byte-identical answers.
+func TestPeerBTakesHashPaths(t *testing.T) {
+	cfg := testConfig()
+	env, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i, spec := range []struct {
+		name, query string
+		hash        interp.HashCounts
+	}{
+		{"data shipping", QDataShipping, interp.HashCounts{}},
+		{"predicate push-down", QPredicatePushdown, interp.HashCounts{}},
+		{"execution relocation", QExecutionRelocation, interp.HashCounts{FLWORJoins: 1}},
+		{"distributed semi-join", QDistributedSemiJoin, interp.HashCounts{PredIndex: cfg.Persons}},
+	} {
+		env.ServerB.ResetStats()
+		_, seq, err := env.RunSeq(spec.name, spec.query)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		got := xdm.SerializeSequence(seq)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: answer differs from data shipping's\ngot:  %.200s\nwant: %.200s", spec.name, got, want)
+		}
+		if h := env.ServerB.LastStats.Hash; h != spec.hash {
+			t.Errorf("%s: peer B took hash paths %+v, want %+v", spec.name, h, spec.hash)
 		}
 	}
 }
